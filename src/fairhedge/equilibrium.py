@@ -52,6 +52,8 @@ __all__ = [
     "EquilibriumQuote",
     "SmilePoint",
     "fair_price",
+    "fair_prices",
+    "price_positive_x_max",
     "expected_profits",
     "risk_thresholds",
     "writer_partial_expectations",
@@ -147,6 +149,41 @@ def fair_price(params: MarketParams, contract: OptionContract, x: float) -> floa
     return price
 
 
+def fair_prices(params: MarketParams, contract: OptionContract, xs: np.ndarray) -> np.ndarray:
+    """fair_price over an array of hedge fractions, bit-equal to it element by element.
+
+    The expression repeats fair_price's operation for operation (the scalar
+    version stays free of array overhead on the minimizer's hot path).
+
+    Raises:
+        NonpositivePrice: If any premium is nonpositive.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0.0) & (xs < 1.0)):
+        raise ValueError("hedge fractions must lie in [0, 1)")
+    t, s0 = contract.expiry, params.spot
+    edge = s0 * (math.exp(params.drift * t) - math.exp(params.risk_free * t))
+    prices = math.exp(-params.risk_free * t) * (
+        expected_call_payoff_physical(params, contract) - 0.5 * xs * edge
+    )
+    if not np.all(prices > 0):
+        raise NonpositivePrice("fair price is nonpositive on part of the x array; no quote exists")
+    return prices
+
+
+def price_positive_x_max(params: MarketParams, contract: OptionContract) -> float:
+    """Hedge fraction where the fair price crosses zero; positive on [0, x_max).
+
+    Callers stay a relative margin inside it, since the price is only
+    meaningful well above the rounding noise of the expected payoff.
+    """
+    t = contract.expiry
+    slope = 0.5 * params.spot * (
+        math.exp(params.drift * t) - math.exp(params.risk_free * t)
+    ) * math.exp(-params.risk_free * t)
+    return math.exp(-params.risk_free * t) * expected_call_payoff_physical(params, contract) / slope
+
+
 def expected_profits(
     params: MarketParams, contract: OptionContract, x: float, price: float
 ) -> tuple[float, float]:
@@ -155,11 +192,14 @@ def expected_profits(
     Holder: E[(S(T)-K)^+] - price e^{rT}, independent of x.
     Writer: x S0 (e^{mu T} - e^{rT}) + price e^{rT} - E[(S(T)-K)^+],
     affine increasing in x. The two always sum to x S0 (e^{mu T} - e^{rT}).
+    Both are affine in x, so the full hedge x = 1 is accepted here even
+    though the risk formulas need x < 1.
 
     Returns:
         Tuple (holder, writer).
     """
-    _check_hedge_fraction(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"hedge fraction must lie in [0, 1], got {x}")
     if not price > 0:
         raise ValueError(f"price must be positive, got {price}")
     t = contract.expiry
@@ -310,11 +350,16 @@ def writer_loss(
     Vectorized over terminal prices; the definitional counterpart of the
     closed-form risk, used by the simulation and quadrature cross-checks.
     """
-    t = contract.expiry
     s = np.asarray(terminal, dtype=float)
-    payoff = np.maximum(s - contract.strike, 0.0)
-    compounding = math.exp(params.risk_free * t)
-    return payoff - x * (s - params.spot * compounding) - price * compounding
+    compounding = math.exp(params.risk_free * contract.expiry)
+    # In place on two buffers, in the formula's operation order so the bits match it.
+    loss = np.subtract(s, contract.strike, out=np.empty_like(s))
+    np.maximum(loss, 0.0, out=loss)
+    hedge = np.subtract(s, params.spot * compounding)
+    hedge *= x
+    loss -= hedge
+    loss -= price * compounding
+    return loss
 
 
 def holder_loss(
@@ -325,8 +370,9 @@ def holder_loss(
 ) -> np.ndarray:
     """Realized holder loss price e^{rT} - C(T), vectorized over terminal prices."""
     s = np.asarray(terminal, dtype=float)
-    payoff = np.maximum(s - contract.strike, 0.0)
-    return price * math.exp(params.risk_free * contract.expiry) - payoff
+    loss = np.subtract(s, contract.strike, out=np.empty_like(s))
+    np.maximum(loss, 0.0, out=loss)
+    return np.subtract(price * math.exp(params.risk_free * contract.expiry), loss, out=loss)
 
 
 def _golden_section(objective, lo: float, hi: float, tol: float) -> float:
@@ -379,12 +425,7 @@ def minimize_writer_risk(
 
     # The premium is affine decreasing in x, so positivity holds on
     # [0, x_max); cap the scan there and at the x < 1 endpoint.
-    t = contract.expiry
-    slope = 0.5 * params.spot * (
-        math.exp(params.drift * t) - math.exp(params.risk_free * t)
-    ) * math.exp(-params.risk_free * t)
-    x_max = math.exp(-params.risk_free * t) * expected_call_payoff_physical(params, contract) / slope
-    hi = min(MAX_HEDGE_FRACTION, x_max * (1.0 - 1e-12))
+    hi = min(MAX_HEDGE_FRACTION, price_positive_x_max(params, contract) * (1.0 - 1e-12))
 
     step = cfg.minimizer_grid
     grid = [i * step for i in range(int(hi / step) + 1)]

@@ -23,8 +23,10 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "QuadConfig",
+    "terminal_price",
     "simulate_terminal",
     "mc_conditional_loss",
+    "quad_rule",
     "quad_expectation",
 ]
 
@@ -81,13 +83,31 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
 
+def terminal_price(
+    params: MarketParams, expiry: float, z: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Map standard normal draws to terminal prices under the real-world drift.
+
+    The exact lognormal solution S(T) = S0 exp((mu - sigma^2/2) T + sigma sqrt(T) z),
+    vectorized. The result is written to out when given; out may be z itself.
+    """
+    loc = (params.drift - 0.5 * params.volatility**2) * expiry
+    scale = params.volatility * math.sqrt(expiry)
+    z = np.asarray(z, dtype=float)
+    s = np.multiply(z, scale, out=np.empty_like(z) if out is None else out)
+    s += loc
+    np.exp(s, out=s)
+    s *= params.spot
+    return s
+
+
 def simulate_terminal(
     params: MarketParams, expiry: float, cfg: McConfig | None = None
 ) -> np.ndarray:
     """Sample terminal stock prices S(T) under the real-world drift.
 
-    Uses the exact lognormal solution
-    S(T) = S0 exp((mu - sigma^2/2) T + sigma sqrt(T) Z).
+    Each chunk's normal draws are written into the output and mapped to
+    S(T) there by terminal_price, so no chunk-sized temporaries are made.
 
     Returns:
         Array of cfg.paths terminal prices, deterministic for a fixed config.
@@ -96,15 +116,12 @@ def simulate_terminal(
         cfg = McConfig()
     if not expiry > 0:
         raise ValueError(f"expiry must be positive, got {expiry}")
-    loc = (params.drift - 0.5 * params.volatility**2) * expiry
-    scale = params.volatility * math.sqrt(expiry)
     out = np.empty(cfg.paths)
     n_chunks = -(-cfg.paths // cfg.chunk_size)
     for i in range(n_chunks):
-        start = i * cfg.chunk_size
-        stop = min(start + cfg.chunk_size, cfg.paths)
-        z = _chunk_rng(cfg.seed, i).standard_normal(stop - start)
-        out[start:stop] = params.spot * np.exp(loc + scale * z)
+        chunk = out[i * cfg.chunk_size : (i + 1) * cfg.chunk_size]
+        _chunk_rng(cfg.seed, i).standard_normal(out=chunk)
+        terminal_price(params, expiry, chunk, out=chunk)
     return out
 
 
@@ -137,28 +154,26 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def quad_expectation(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    cfg: QuadConfig | None = None,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """E[f(Z)] for standard normal Z by composite Gauss-Legendre quadrature.
+def quad_rule(
+    cfg: QuadConfig | None = None, breakpoints: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule for E[f(Z)], Z ~ N(0,1).
 
     The window cfg.z_bounds is cut at every finite breakpoint and each piece
     is covered by panels in proportion to its length (12 nodes per panel).
     Panels never straddle a breakpoint, so integrands that are smooth
     between breakpoints (indicators times exponential-affine pieces)
-    integrate to near machine precision.
+    integrate to near machine precision. The weights already carry the
+    normal density, so E[f(Z)] is np.dot(weights, f(z)); one rule serves
+    every integrand that shares the breakpoints.
 
     Args:
-        integrand: Vectorized callable mapping an array of z values to
-            integrand values.
         cfg: Window and panel count; defaults to QuadConfig().
         breakpoints: z locations of kinks or jumps; values outside the
             window are ignored.
 
     Returns:
-        The expectation as a float.
+        Tuple (z, weights) of equal-length arrays.
     """
     if cfg is None:
         cfg = QuadConfig()
@@ -180,4 +195,18 @@ def quad_expectation(
     z = np.concatenate(z_parts)
     w = np.concatenate(w_parts)
     density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    return float(np.dot(w * density, np.asarray(integrand(z), dtype=float)))
+    return z, w * density
+
+
+def quad_expectation(
+    integrand: Callable[[np.ndarray], np.ndarray],
+    cfg: QuadConfig | None = None,
+    breakpoints: Sequence[float] = (),
+) -> float:
+    """E[f(Z)] for standard normal Z by the rule of quad_rule(cfg, breakpoints).
+
+    The integrand is a vectorized callable mapping an array of z values to
+    integrand values; see quad_rule for cfg and breakpoints.
+    """
+    z, weights = quad_rule(cfg, breakpoints)
+    return float(np.dot(weights, np.asarray(integrand(z), dtype=float)))

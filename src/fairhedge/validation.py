@@ -26,10 +26,18 @@ from .core import (
     expected_put_payoff_physical,
     implied_vol,
 )
-from .errors import PricingError
-from .oracle import McConfig, QuadConfig, mc_conditional_loss, quad_expectation, simulate_terminal
+from .errors import NoLossEvents, PricingError
+from .oracle import (
+    McConfig,
+    QuadConfig,
+    mc_conditional_loss,
+    quad_expectation,
+    quad_rule,
+    simulate_terminal,
+    terminal_price,
+)
 
-__all__ = ["CheckResult", "draw_suite", "terminal_price_fn", "run_all_checks"]
+__all__ = ["CheckResult", "draw_suite", "run_all_checks"]
 
 
 @dataclass(frozen=True)
@@ -45,36 +53,9 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def terminal_price_fn(params: MarketParams, expiry: float):
-    """Map standard normal draws to terminal prices S(T), vectorized."""
-    loc = (params.drift - 0.5 * params.volatility**2) * expiry
-    scale = params.volatility * math.sqrt(expiry)
-
-    def terminal(z: np.ndarray) -> np.ndarray:
-        return params.spot * np.exp(loc + scale * np.asarray(z, dtype=float))
-
-    return terminal
-
-
-def _price_positive_x_max(params: MarketParams, contract: OptionContract) -> float:
-    # The fair price is affine decreasing in x and crosses zero here.
-    t = contract.expiry
-    slope = (
-        0.5
-        * params.spot
-        * (math.exp(params.drift * t) - math.exp(params.risk_free * t))
-        * math.exp(-params.risk_free * t)
-    )
-    return (
-        math.exp(-params.risk_free * t)
-        * expected_call_payoff_physical(params, contract)
-        / slope
-    )
-
-
 def valid_hedge_upper_bound(params: MarketParams, contract: OptionContract) -> float:
     """Largest searchable x: below both the x < 1 endpoint and price positivity."""
-    return min(eq.MAX_HEDGE_FRACTION, _price_positive_x_max(params, contract) * (1.0 - 1e-9))
+    return min(eq.MAX_HEDGE_FRACTION, eq.price_positive_x_max(params, contract) * (1.0 - 1e-9))
 
 
 def draw_suite(
@@ -109,7 +90,7 @@ def draw_suite(
         contract = OptionContract(strike=s0 * rng.uniform(0.5, 1.5), expiry=rng.uniform(0.1, 3.0))
         if expected_call_payoff_physical(params, contract) < 1e-8 * s0:
             continue
-        upper = min(eq.MAX_HEDGE_FRACTION, _price_positive_x_max(params, contract) * (1.0 - 1e-3))
+        upper = min(eq.MAX_HEDGE_FRACTION, eq.price_positive_x_max(params, contract) * (1.0 - 1e-3))
         x = upper * rng.uniform(0.0, 1.0)
         if x <= 0.0:
             x = 0.5 * upper
@@ -223,7 +204,7 @@ def check_threshold_arg_monotonicity(n_draws: int, seed: int) -> CheckResult:
         t = contract.expiry
         compounding = math.exp(params.risk_free * t)
         xs = np.linspace(0.01, upper, 100)
-        prices = np.array([eq.fair_price(params, contract, float(x)) for x in xs])
+        prices = eq.fair_prices(params, contract, xs)
         dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
         live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
             params.spot * (1.0 - xs)
@@ -250,19 +231,19 @@ def quadrature_risk(
     thresholds enter only as panel breakpoints to keep the rule high-order.
     """
     th = eq.risk_thresholds(params, contract, x, price)
-    terminal = terminal_price_fn(params, contract.expiry)
+    # One rule and one S(T) array serve all four integrands.
+    z, weights = quad_rule(quad_cfg, [th.d1, th.d, th.d2, th.d_prime])
+    terminal = terminal_price(params, contract.expiry, z)
+    w_loss = eq.writer_loss(params, contract, x, price, terminal)
+    h_loss = eq.holder_loss(params, contract, price, terminal)
 
-    def w_loss(z: np.ndarray) -> np.ndarray:
-        return eq.writer_loss(params, contract, x, price, terminal(z))
+    def expect(values: np.ndarray) -> float:
+        return float(np.dot(weights, values))
 
-    def h_loss(z: np.ndarray) -> np.ndarray:
-        return eq.holder_loss(params, contract, price, terminal(z))
-
-    cuts = [th.d1, th.d, th.d2, th.d_prime]
-    prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), quad_cfg, cuts)
-    w_cond = quad_expectation(lambda z: np.maximum(w_loss(z), 0.0), quad_cfg, cuts) / prob
-    h_prob = quad_expectation(lambda z: (h_loss(z) > 0).astype(float), quad_cfg, cuts)
-    h_cond = quad_expectation(lambda z: np.maximum(h_loss(z), 0.0), quad_cfg, cuts) / h_prob
+    prob = expect((w_loss > 0).astype(float))
+    w_cond = expect(np.maximum(w_loss, 0.0)) / prob
+    h_prob = expect((h_loss > 0).astype(float))
+    h_cond = expect(np.maximum(h_loss, 0.0)) / h_prob
     return prob, w_cond, h_cond
 
 
@@ -299,13 +280,22 @@ def check_mc_agreement(
     contract: OptionContract,
     numeric_cfg: NumericConfig,
     mc_cfg: McConfig,
+    quote: eq.EquilibriumQuote,
 ) -> CheckResult:
-    quote = eq.minimize_writer_risk(params, contract, numeric_cfg)
-    report = quote.report
-    sample = simulate_terminal(params, contract.expiry, mc_cfg)
-    n = sample.size
+    """Closed forms at the quote vs their Monte Carlo estimates, 3.5 standard errors.
 
-    payoff = np.maximum(sample - contract.strike, 0.0)
+    A sample too small to give a standard error, or with no positive loss
+    for a conditional risk, fails the check instead of raising.
+    """
+    report = quote.report
+    n = mc_cfg.paths
+    if n < 2:
+        detail = f"needs at least 2 paths for a standard error; paths {n}"
+        return CheckResult("mc_agreement", False, detail)
+    sample = simulate_terminal(params, contract.expiry, mc_cfg)
+
+    payoff = np.subtract(sample, contract.strike)
+    np.maximum(payoff, 0.0, out=payoff)
     payoff_se = float(payoff.std(ddof=1) / math.sqrt(n))
     gaps = []
     gaps.append(
@@ -315,16 +305,21 @@ def check_mc_agreement(
             3.5 * payoff_se,
         )
     )
+    # Each path-sized array is dropped after its last use to bound peak memory.
+    del payoff
 
     w_losses = eq.writer_loss(params, contract, quote.x_star, quote.price, sample)
     p_hat = float((w_losses > 0).mean())
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     gaps.append(("loss_prob", abs(report.loss_prob - p_hat), 3.5 * p_se))
 
-    w_est = mc_conditional_loss(w_losses)
+    try:
+        w_est = mc_conditional_loss(w_losses)
+        del w_losses
+        h_est = mc_conditional_loss(eq.holder_loss(params, contract, quote.price, sample))
+    except NoLossEvents as exc:
+        return CheckResult("mc_agreement", False, f"{exc}; paths {n}")
     gaps.append(("writer_risk", abs(report.writer_risk - w_est.mean), 3.5 * w_est.std_error))
-
-    h_est = mc_conditional_loss(eq.holder_loss(params, contract, quote.price, sample))
     gaps.append(("holder_risk", abs(report.holder_risk - h_est.mean), 3.5 * h_est.std_error))
 
     passed = all(gap <= band for _, gap, band in gaps)
@@ -333,9 +328,11 @@ def check_mc_agreement(
 
 
 def check_quote_grid_consistency(
-    params: MarketParams, contract: OptionContract, numeric_cfg: NumericConfig
+    params: MarketParams,
+    contract: OptionContract,
+    numeric_cfg: NumericConfig,
+    quote: eq.EquilibriumQuote,
 ) -> CheckResult:
-    quote = eq.minimize_writer_risk(params, contract, numeric_cfg)
     upper = valid_hedge_upper_bound(params, contract)
     best = quote.report.writer_risk
     worst_drop = 0.0
@@ -361,11 +358,15 @@ def run_all_checks(
     monotonicity_draws: int = 50,
     seed: int = 2024,
 ) -> list[CheckResult]:
-    """Run the full oracle-equivalence and property suite."""
+    """Run the full oracle-equivalence and property suite.
+
+    The checks run in order and the first exception propagates; the quote
+    is computed once, where the Monte Carlo check first needs it.
+    """
     numeric_cfg = numeric_cfg or NumericConfig()
     mc_cfg = mc_cfg or McConfig()
     quad_cfg = quad_cfg or QuadConfig()
-    return [
+    results = [
         check_implied_vol_round_trip(params, contract, numeric_cfg),
         check_price_vs_quadrature(params, contract, quad_cfg),
         check_physical_parity(params, contract),
@@ -373,6 +374,8 @@ def run_all_checks(
         check_threshold_ordering(ordering_draws, seed),
         check_threshold_arg_monotonicity(monotonicity_draws, seed + 1),
         check_risks_vs_quadrature(params, contract, quad_cfg),
-        check_mc_agreement(params, contract, numeric_cfg, mc_cfg),
-        check_quote_grid_consistency(params, contract, numeric_cfg),
     ]
+    quote = eq.minimize_writer_risk(params, contract, numeric_cfg)
+    results.append(check_mc_agreement(params, contract, numeric_cfg, mc_cfg, quote))
+    results.append(check_quote_grid_consistency(params, contract, numeric_cfg, quote))
+    return results

@@ -32,13 +32,9 @@ from fairhedge import (
     writer_risk,
     holder_loss,
 )
-from fairhedge.validation import (
-    _price_positive_x_max,
-    draw_suite,
-    quadrature_risk,
-    rel_err,
-    terminal_price_fn,
-)
+from fairhedge.equilibrium import price_positive_x_max
+from fairhedge.oracle import terminal_price
+from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 
 PARAMS = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
 CONTRACT = OptionContract(strike=100.0, expiry=1.0)
@@ -66,10 +62,10 @@ def test_criterion_02_delta_hedge_writer_profit():
 
 def test_criterion_03_physical_expected_call_vs_oracles():
     closed = expected_call_payoff_physical(PARAMS, CONTRACT)
-    terminal = terminal_price_fn(PARAMS, CONTRACT.expiry)
     kink = -(d_plus_minus(PARAMS, CONTRACT, PARAMS.drift)[1])
     quad = quad_expectation(
-        lambda z: np.maximum(terminal(z) - CONTRACT.strike, 0.0), breakpoints=[kink]
+        lambda z: np.maximum(terminal_price(PARAMS, CONTRACT.expiry, z) - CONTRACT.strike, 0.0),
+        breakpoints=[kink],
     )
     quad_gap = rel_err(closed, quad)
 
@@ -142,7 +138,7 @@ def test_criterion_07_threshold_argument_monotonicity():
     violations = 0
     draws = 0
     for params, contract, _ in draw_suite(1000, seed=2025):
-        upper = min(0.99, 0.99 * _price_positive_x_max(params, contract))
+        upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
         if upper <= 0.02:
             continue
         draws += 1

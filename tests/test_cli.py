@@ -61,6 +61,17 @@ class TestPriceCommand:
         assert result.returncode == 2
         assert "drift" in result.stderr
 
+    def test_delta_that_rounds_to_one_exits_0(self):
+        # N(d+) is 1.0 in doubles here; the profit formulas accept the full hedge.
+        result = run_cli(
+            "price", "--s0", "75.37599285333654", "--mu", "0.15828685933764516",
+            "--sigma", "0.11969005662083394", "--r", "0.012270472438856754",
+            "--t", "0.13592313034983355", "--strike", "52.3669889777061",
+        )
+        assert result.returncode == 0, result.stderr
+        _, rows = csv_rows(result.stdout)
+        assert float(rows[0]["x"]) == 1.0
+
 
 class TestQuoteCommand:
     def test_reference_quote(self):
@@ -190,6 +201,14 @@ class TestValidateCommand:
         big_bands = bands(big.stdout)
         assert len(small_bands) == len(big_bands) == 4
         assert all(s > b for s, b in zip(small_bands, big_bands))
+
+    def test_single_path_fails_mc_check_and_exits_1(self):
+        result = run_cli("validate", *EX_ARGS, "--strike", "100", "--paths", "1")
+        assert result.returncode == 1, result.stderr
+        assert "Warning" not in result.stderr
+        checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+        assert checks["mc_agreement"]["passed"] is False
+        assert all(c["passed"] for name, c in checks.items() if name != "mc_agreement")
 
 
 class TestConfigHandling:

@@ -39,7 +39,9 @@ from fairhedge import (
     writer_partial_expectations,
     writer_risk,
 )
-from fairhedge.validation import draw_suite, quadrature_risk, rel_err, terminal_price_fn
+from fairhedge.equilibrium import fair_prices, price_positive_x_max
+from fairhedge.oracle import terminal_price
+from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 
 # Frozen values for the reference scenario, verified against the
 # quadrature oracle (agreement well under 1e-8 relative).
@@ -82,6 +84,30 @@ class TestFairPrice:
             fair_price(ref_params, ref_contract, 1.0)
         with pytest.raises(ValueError, match="hedge fraction"):
             fair_price(ref_params, ref_contract, -0.1)
+
+    def test_array_prices_equal_scalar_prices_bit_for_bit(self):
+        """fair_prices, which the monotonicity check uses, is fair_price element by element."""
+        for params, contract, _ in draw_suite(40, seed=25):
+            upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
+            xs = np.linspace(0.0, upper, 100)
+            scalar = [fair_price(params, contract, float(x)) for x in xs]
+            assert fair_prices(params, contract, xs).tolist() == scalar
+
+    def test_array_prices_keep_the_scalar_domain_errors(self, ref_params, ref_contract):
+        with pytest.raises(ValueError, match="hedge fraction"):
+            fair_prices(ref_params, ref_contract, np.array([0.5, 1.0]))
+        deep_otm = OptionContract(strike=300.0, expiry=0.25)
+        with pytest.raises(NonpositivePrice):
+            fair_prices(ref_params, deep_otm, np.array([0.0, 0.5]))
+
+    def test_price_crosses_zero_at_x_max(self):
+        params = MarketParams(spot=100.0, drift=0.10, volatility=0.2, risk_free=0.05)
+        contract = OptionContract(strike=130.0, expiry=0.5)
+        x_max = price_positive_x_max(params, contract)
+        assert 0.0 < x_max < 1.0
+        assert fair_price(params, contract, x_max * (1.0 - 1e-9)) > 0.0
+        with pytest.raises(NonpositivePrice):
+            fair_price(params, contract, min(x_max * (1.0 + 1e-9), 0.999))
 
     def test_deep_otm_price_collapses(self):
         # Premium of a far out-of-the-money short-dated call cannot cover
@@ -141,6 +167,17 @@ class TestExpectedProfits:
     def test_rejects_nonpositive_price(self, ref_params, ref_contract):
         with pytest.raises(ValueError, match="price"):
             expected_profits(ref_params, ref_contract, 0.5, 0.0)
+
+    def test_full_hedge_accepted(self, ref_params, ref_contract):
+        # A delta N(d+) that rounds to 1.0 is a valid hedge for the profit
+        # formulas, which are affine in x; the risk formulas still need x < 1.
+        holder, writer = expected_profits(ref_params, ref_contract, 1.0, 11.0)
+        edge = 100.0 * (math.exp(0.10) - math.exp(0.05))
+        assert holder + writer == pytest.approx(edge, rel=1e-12)
+        with pytest.raises(ValueError, match="hedge fraction"):
+            expected_profits(ref_params, ref_contract, 1.0 + 1e-12, 11.0)
+        with pytest.raises(ValueError, match="hedge fraction"):
+            writer_risk(ref_params, ref_contract, 1.0)
 
 
 class TestRiskThresholds:
@@ -215,7 +252,9 @@ class TestWriterPartialExpectations:
         price = fair_price(ref_params, ref_contract, x)
         th = risk_thresholds(ref_params, ref_contract, x, price)
         partial_call, partial_stock = writer_partial_expectations(ref_params, ref_contract, th)
-        terminal = terminal_price_fn(ref_params, 1.0)
+
+        def terminal(z):
+            return terminal_price(ref_params, 1.0, z)
 
         def in_loss_region(z):
             return (z <= th.d1) | (z > th.d2)
@@ -269,6 +308,16 @@ class TestWriterRisk:
             assert report.writer_risk > 0.0
             assert report.holder_risk > 0.0
             assert 0.0 < report.loss_prob < 1.0
+
+    def test_losses_of_scalar_terminal_prices_match_the_array_losses(
+        self, ref_params, ref_contract
+    ):
+        terminal = np.array([60.0, 100.0, 131.5])
+        writer = writer_loss(ref_params, ref_contract, 0.7212, 12.1, terminal)
+        holder = holder_loss(ref_params, ref_contract, 12.1, terminal)
+        for s, w, h in zip(terminal.tolist(), writer.tolist(), holder.tolist()):
+            assert float(writer_loss(ref_params, ref_contract, 0.7212, 12.1, s)) == w
+            assert float(holder_loss(ref_params, ref_contract, 12.1, s)) == h
 
 
 class TestHolderRisk:
@@ -424,10 +473,8 @@ class TestSuiteProperties:
 
     def test_threshold_argument_monotonicity(self):
         """The two log arguments behind d1 and d2 are increasing in x."""
-        from fairhedge.validation import _price_positive_x_max
-
         for params, contract, _ in draw_suite(100, seed=24):
-            upper = min(0.99, 0.99 * _price_positive_x_max(params, contract))
+            upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
             if upper <= 0.02:
                 continue
             compounding = math.exp(params.risk_free * contract.expiry)

@@ -11,15 +11,17 @@ from fairhedge import (
     NoLossEvents,
     QuadConfig,
     fair_price,
+    holder_loss,
     mc_conditional_loss,
     quad_expectation,
     risk_thresholds,
     simulate_terminal,
     std_normal_cdf,
+    writer_loss,
 )
+from fairhedge.oracle import terminal_price
 
 REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core
-
 
 class TestSimulateTerminal:
     def test_deterministic_for_fixed_config(self, ref_params):
@@ -55,6 +57,39 @@ class TestSimulateTerminal:
         a = simulate_terminal(ref_params, 1.0, McConfig(paths=4096, seed=5, chunk_size=1024))
         b = simulate_terminal(ref_params, 1.0, McConfig(paths=4096, seed=5, chunk_size=1024))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("chunk_size", [8192, 1_000_000])
+    def test_sample_and_losses_equal_the_plain_expressions(
+        self, ref_params, ref_contract, chunk_size
+    ):
+        # Pins the in-place evaluation to the bits of the plain expressions
+        # S0 exp(loc + scale z) per chunk stream, (S-K)^+ - x (S - S0 e^{rT}) - C e^{rT}
+        # and C e^{rT} - (S-K)^+, chunked (13 chunks, the last partial) and in one chunk.
+        paths, x, price = 100_003, 0.7212, 12.1
+        sizes = [min(chunk_size, paths - start) for start in range(0, paths, chunk_size)]
+        z = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(i,)))
+            .standard_normal(n) for i, n in enumerate(sizes)
+        ])
+        loc, scale = (0.10 - 0.5 * 0.2**2) * 1.0, 0.2 * math.sqrt(1.0)
+        plain = 100.0 * np.exp(loc + scale * z)
+        compounding = math.exp(0.05 * 1.0)
+        payoff = np.maximum(plain - 100.0, 0.0)
+        plain_writer = payoff - x * (plain - 100.0 * compounding) - price * compounding
+        plain_holder = price * compounding - payoff
+
+        sample = simulate_terminal(
+            ref_params, 1.0, McConfig(paths=paths, seed=11, chunk_size=chunk_size)
+        )
+        assert np.array_equal(sample, plain)
+        assert np.array_equal(terminal_price(ref_params, 1.0, z), plain)
+        assert np.array_equal(writer_loss(ref_params, ref_contract, x, price, sample), plain_writer)
+        assert np.array_equal(holder_loss(ref_params, ref_contract, price, sample), plain_holder)
+
+    def test_scalar_terminal_price_matches_the_array_map(self, ref_params):
+        z = np.array([-1.5, 0.0, 0.3])
+        mapped = terminal_price(ref_params, 1.0, z)
+        assert [float(terminal_price(ref_params, 1.0, float(v))) for v in z] == mapped.tolist()
 
     def test_rejects_nonpositive_expiry(self, ref_params):
         with pytest.raises(ValueError, match="expiry"):
