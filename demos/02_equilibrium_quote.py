@@ -4,14 +4,7 @@
 
 import numpy as np
 
-from fairhedge import (
-    MarketParams,
-    OptionContract,
-    fair_price,
-    holder_risk,
-    minimize_writer_risk,
-    writer_risk,
-)
+from fairhedge import MarketParams, OptionContract, minimize_writer_risk, writer_risk
 
 
 def main():
@@ -46,9 +39,10 @@ def main():
         return
 
     xs = np.arange(0.0, 0.999, 0.002)
-    gamma_w = [writer_risk(params, contract, float(x)).writer_risk for x in xs]
-    gamma_h = [holder_risk(params, contract, float(x)) for x in xs]
-    prices = [fair_price(params, contract, float(x)) for x in xs]
+    reports = [writer_risk(params, contract, float(x)) for x in xs]
+    gamma_w = [r.writer_risk for r in reports]
+    gamma_h = [r.holder_risk for r in reports]
+    prices = [r.fair_price for r in reports]
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4))
     ax1.plot(xs, gamma_w, label="writer risk")

@@ -30,13 +30,11 @@ from .equilibrium import (
     expected_profits,
     fair_price,
     holder_loss,
-    holder_risk,
     minimize_writer_risk,
     revalue_at_time,
     risk_thresholds,
     volatility_smile,
     writer_loss,
-    writer_partial_expectations,
     writer_risk,
 )
 from .errors import (
@@ -69,8 +67,8 @@ __all__ = [
     "expected_call_payoff_physical", "expected_put_payoff_physical", "implied_vol",
     # equilibrium pricing and risk
     "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
-    "fair_price", "expected_profits", "risk_thresholds", "writer_partial_expectations",
-    "writer_risk", "holder_risk", "minimize_writer_risk", "volatility_smile",
+    "fair_price", "expected_profits", "risk_thresholds",
+    "writer_risk", "minimize_writer_risk", "volatility_smile",
     "revalue_at_time", "writer_loss", "holder_loss",
     # oracles
     "McConfig", "McEstimate", "QuadConfig",

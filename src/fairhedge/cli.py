@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from . import equilibrium as eq
@@ -31,11 +31,6 @@ from .validation import run_all_checks
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
 SMILE_CSV_HEADER = "strike,price,x_star,writer_risk,holder_risk,loss_prob,implied_vol"
-
-_CONFIG_KEYS = {
-    "s0", "mu", "sigma", "r", "t", "strikes", "x", "paths", "seed",
-    "grid_step", "format", "out", "reval_t", "reval_spot",
-}
 
 
 @dataclass
@@ -58,13 +53,7 @@ class RunConfig:
     reval_spot: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "s0": self.s0, "mu": self.mu, "sigma": self.sigma, "r": self.r,
-            "t": self.t, "strikes": list(self.strikes), "x": self.x,
-            "paths": self.paths, "seed": self.seed, "grid_step": self.grid_step,
-            "format": self.format, "out": self.out,
-            "reval_t": self.reval_t, "reval_spot": self.reval_spot,
-        }
+        return asdict(self)
 
     def market(self) -> MarketParams:
         return MarketParams(spot=self.s0, drift=self.mu, volatility=self.sigma, risk_free=self.r)
@@ -78,6 +67,10 @@ class RunConfig:
         return McConfig(paths=self.paths, seed=self.seed)
 
 
+# Config-file keys and flags are the RunConfig fields, one to one.
+_CONFIG_KEYS = frozenset(field.name for field in fields(RunConfig))
+
+
 def parse_config(data: dict) -> RunConfig:
     """Build and validate a RunConfig from a flat mapping."""
     unknown = set(data) - _CONFIG_KEYS
@@ -89,16 +82,26 @@ def parse_config(data: dict) -> RunConfig:
 
     def as_float(key: str, value) -> float:
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
-            raise ValueError(f"config key '{key}' must be a number, got {value!r}") from None
+            number = math.nan
+        # A JSON true/false is not a number, and 1e400 parses as inf.
+        if isinstance(value, bool) or not math.isfinite(number):
+            raise ValueError(f"config key '{key}' must be a finite number, got {value!r}")
+        return number
+
+    def as_int(key: str, value) -> int:
+        number = as_float(key, value)
+        if not number.is_integer():
+            raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
+        return value if isinstance(value, int) else int(number)
 
     strikes = data["strikes"]
     if isinstance(strikes, (int, float)):
         strikes = [strikes]
     if not isinstance(strikes, (list, tuple)) or not strikes:
         raise ValueError("config key 'strikes' must be a nonempty list of prices")
-    fmt = data.get("format", "csv")
+    fmt = data.get("format", RunConfig.format)
     if fmt not in ("csv", "json"):
         raise ValueError(f"config key 'format' must be 'csv' or 'json', got {fmt!r}")
 
@@ -110,9 +113,9 @@ def parse_config(data: dict) -> RunConfig:
         t=as_float("t", data["t"]),
         strikes=[as_float("strikes", k) for k in strikes],
         x=None if data.get("x") is None else as_float("x", data["x"]),
-        paths=int(data.get("paths", 1_000_000)),
-        seed=int(data.get("seed", 12345)),
-        grid_step=as_float("grid_step", data.get("grid_step", 0.01)),
+        paths=as_int("paths", data.get("paths", RunConfig.paths)),
+        seed=as_int("seed", data.get("seed", RunConfig.seed)),
+        grid_step=as_float("grid_step", data.get("grid_step", RunConfig.grid_step)),
         format=fmt,
         out=data.get("out"),
         reval_t=None if data.get("reval_t") is None else as_float("reval_t", data["reval_t"]),
@@ -186,8 +189,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         data.update(loaded)
-    for key in ("s0", "mu", "sigma", "r", "t", "x", "paths", "seed",
-                "grid_step", "format", "out", "reval_t", "reval_spot"):
+    # --strike/--strikes are parsed below.
+    for key in _CONFIG_KEYS - {"strikes"}:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value

@@ -52,13 +52,10 @@ __all__ = [
     "EquilibriumQuote",
     "SmilePoint",
     "fair_price",
-    "fair_prices",
     "price_positive_x_max",
     "expected_profits",
     "risk_thresholds",
-    "writer_partial_expectations",
     "writer_risk",
-    "holder_risk",
     "minimize_writer_risk",
     "volatility_smile",
     "revalue_at_time",
@@ -69,6 +66,11 @@ __all__ = [
 # The risk formulas assume x in [0, 1); d2 diverges as x -> 1, so the
 # minimizer searches up to this right endpoint.
 MAX_HEDGE_FRACTION = 1.0 - 1e-6
+
+# Contracts whose expected payoff falls below this fraction of spot are not
+# quoted: such a premium perturbs the strike by less than one ulp, so the
+# cut points collapse (d == d2 == d') and their strict ordering is lost.
+_PREMIUM_FLOOR = 1e-8
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -129,43 +131,118 @@ def _check_hedge_fraction(x: float) -> None:
         raise ValueError(f"hedge fraction must lie in [0, 1), got {x}")
 
 
-def fair_price(params: MarketParams, contract: OptionContract, x: float) -> float:
+class _RiskKernel:
+    """The closed forms of one (market, contract), with every x-free term computed once.
+
+    The expected payoff, discount and compounding factors, the hedge edge,
+    the zero crossing x_max of the premium, the premium-floor test, the cut
+    point d and the x-free constants of d1, d2 and d' are fixed at
+    construction; the holder's N(d) terms are added on the first report.
+    The methods evaluate the formulas at any x in one fixed operation
+    order, so the public wrappers and the minimizer's scan give identical
+    bits for identical inputs.
+    """
+
+    def __init__(self, params: MarketParams, contract: OptionContract) -> None:
+        s0, sig, mu, t = params.spot, params.volatility, params.drift, contract.expiry
+        self.spot, self.strike = s0, contract.strike
+        self.expected_payoff = expected_call_payoff_physical(params, contract)
+        self.below_premium_floor = self.expected_payoff < _PREMIUM_FLOOR * s0
+        self.discount = math.exp(-params.risk_free * t)
+        self.compounding = math.exp(params.risk_free * t)
+        growth = math.exp(mu * t)
+        carry = growth - self.compounding
+        self.edge = s0 * carry
+        self.x_max = self.discount * self.expected_payoff / (0.5 * s0 * carry * self.discount)
+        self.grown_spot = s0 * growth
+        self.sig_sqrt_t = sig * math.sqrt(t)
+        self.shift = 0.5 * sig * sig * t - mu * t
+        self.d = (math.log(contract.strike / s0) + self.shift) / self.sig_sqrt_t
+        self._holder_cdfs: tuple[float, float] | None = None
+
+    def price(self, x):
+        """Fair premium at x, a float or elementwise over an array; unchecked."""
+        return self.discount * (self.expected_payoff - 0.5 * x * self.edge)
+
+    def fair_price(self, x: float) -> float:
+        _check_hedge_fraction(x)
+        price = self.price(x)
+        if not price > 0:
+            raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
+        return price
+
+    def thresholds(self, x: float, price: float) -> RiskThresholds:
+        s0, sig_sqrt_t, shift, compounding = self.spot, self.sig_sqrt_t, self.shift, self.compounding
+        stock_cover = x * s0 - price
+        if stock_cover <= 0:
+            d1 = -math.inf
+        else:
+            d1 = (math.log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
+        d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
+        if d2_arg <= 0:
+            raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
+        d2 = (math.log(d2_arg) + shift) / sig_sqrt_t
+        d_prime = (math.log((self.strike + price * compounding) / s0) + shift) / sig_sqrt_t
+        return RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=d_prime)
+
+    def report(self, x: float) -> RiskReport:
+        price = self.fair_price(x)
+        th = self.thresholds(x, price)
+        d1, d2, d_prime = th.d1, th.d2, th.d_prime
+        sig_sqrt_t, grown_spot, strike = self.sig_sqrt_t, self.grown_spot, self.strike
+        compounding = self.compounding
+        # Survival probabilities are N(-z), not 1 - N(z), to keep relative
+        # precision in the tails; a -inf d1 contributes nothing.
+        upper_tail = std_normal_cdf(-d2)
+        loss_prob = std_normal_cdf(d1) + upper_tail
+        if loss_prob <= 0.0:
+            raise DegenerateLoss(f"writer loss probability underflowed to zero at x={x}")
+        upper_tail_shifted = std_normal_cdf(-(d2 - sig_sqrt_t))
+        partial_call = grown_spot * upper_tail_shifted - strike * upper_tail
+        partial_stock = grown_spot * (std_normal_cdf(d1 - sig_sqrt_t) + upper_tail_shifted)
+        gamma_w = (
+            partial_call / loss_prob
+            - x * partial_stock / loss_prob
+            + x * self.spot * compounding
+            - price * compounding
+        )
+        if self._holder_cdfs is None:
+            self._holder_cdfs = (std_normal_cdf(self.d), std_normal_cdf(self.d - sig_sqrt_t))
+        cdf_d, cdf_d_shifted = self._holder_cdfs
+        cdf_d_prime = std_normal_cdf(d_prime)
+        in_band_payoff = grown_spot * (
+            std_normal_cdf(d_prime - sig_sqrt_t) - cdf_d_shifted
+        ) - strike * (cdf_d_prime - cdf_d)
+        return RiskReport(
+            x=x,
+            fair_price=price,
+            loss_prob=loss_prob,
+            partial_call=partial_call,
+            partial_stock=partial_stock,
+            writer_risk=gamma_w,
+            holder_risk=price * compounding - in_band_payoff / cdf_d_prime,
+            thresholds=th,
+        )
+
+
+def fair_price(
+    params: MarketParams, contract: OptionContract, x: float | np.ndarray
+) -> float | np.ndarray:
     """Premium equating holder's and writer's expected profits, given x shares.
 
     Affine and strictly decreasing in x (slope -S0 (e^{mu T}-e^{rT}) e^{-rT}/2).
+    x is a float, or a numpy array priced elementwise with the same bits.
 
     Raises:
-        NonpositivePrice: If the formula gives a nonpositive premium, which
-            happens for deep out-of-the-money contracts with large x.
+        NonpositivePrice: If the formula gives a nonpositive premium (for an
+            array, anywhere on it), which happens for deep out-of-the-money
+            contracts with large x.
     """
-    _check_hedge_fraction(x)
-    t, s0 = contract.expiry, params.spot
-    edge = s0 * (math.exp(params.drift * t) - math.exp(params.risk_free * t))
-    price = math.exp(-params.risk_free * t) * (
-        expected_call_payoff_physical(params, contract) - 0.5 * x * edge
-    )
-    if not price > 0:
-        raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
-    return price
-
-
-def fair_prices(params: MarketParams, contract: OptionContract, xs: np.ndarray) -> np.ndarray:
-    """fair_price over an array of hedge fractions, bit-equal to it element by element.
-
-    The expression repeats fair_price's operation for operation (the scalar
-    version stays free of array overhead on the minimizer's hot path).
-
-    Raises:
-        NonpositivePrice: If any premium is nonpositive.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if not np.all((xs >= 0.0) & (xs < 1.0)):
+    if not isinstance(x, np.ndarray):
+        return _RiskKernel(params, contract).fair_price(x)
+    if not np.all((x >= 0.0) & (x < 1.0)):
         raise ValueError("hedge fractions must lie in [0, 1)")
-    t, s0 = contract.expiry, params.spot
-    edge = s0 * (math.exp(params.drift * t) - math.exp(params.risk_free * t))
-    prices = math.exp(-params.risk_free * t) * (
-        expected_call_payoff_physical(params, contract) - 0.5 * xs * edge
-    )
+    prices = _RiskKernel(params, contract).price(x)
     if not np.all(prices > 0):
         raise NonpositivePrice("fair price is nonpositive on part of the x array; no quote exists")
     return prices
@@ -177,11 +254,7 @@ def price_positive_x_max(params: MarketParams, contract: OptionContract) -> floa
     Callers stay a relative margin inside it, since the price is only
     meaningful well above the rounding noise of the expected payoff.
     """
-    t = contract.expiry
-    slope = 0.5 * params.spot * (
-        math.exp(params.drift * t) - math.exp(params.risk_free * t)
-    ) * math.exp(-params.risk_free * t)
-    return math.exp(-params.risk_free * t) * expected_call_payoff_physical(params, contract) / slope
+    return _RiskKernel(params, contract).x_max
 
 
 def expected_profits(
@@ -224,66 +297,7 @@ def risk_thresholds(
     _check_hedge_fraction(x)
     if not price > 0:
         raise ValueError(f"price must be positive, got {price}")
-    s0, sig, mu, t = params.spot, params.volatility, params.drift, contract.expiry
-    sig_sqrt_t = sig * math.sqrt(t)
-    shift = 0.5 * sig * sig * t - mu * t
-    compounding = math.exp(params.risk_free * t)
-
-    d = (math.log(contract.strike / s0) + shift) / sig_sqrt_t
-
-    stock_cover = x * s0 - price
-    if stock_cover <= 0:
-        d1 = -math.inf
-    else:
-        d1 = (math.log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
-
-    d2_arg = (contract.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
-    if d2_arg <= 0:
-        raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
-    d2 = (math.log(d2_arg) + shift) / sig_sqrt_t
-
-    d_prime = (math.log((contract.strike + price * compounding) / s0) + shift) / sig_sqrt_t
-    return RiskThresholds(d1=d1, d=d, d2=d2, d_prime=d_prime)
-
-
-def writer_partial_expectations(
-    params: MarketParams, contract: OptionContract, thresholds: RiskThresholds
-) -> tuple[float, float]:
-    """Expected call payoff and stock price restricted to the writer-loss event.
-
-    E[C(T) 1_loss] = S0 e^{mu T} N(-(d2 - s)) - K N(-d2)
-    E[S(T) 1_loss] = S0 e^{mu T} (N(d1 - s) + N(-(d2 - s)))
-
-    with s = sigma sqrt(T). Survival probabilities are evaluated as N(-z)
-    rather than 1 - N(z) to keep relative precision in the tails; a -inf d1
-    contributes nothing.
-
-    Returns:
-        Tuple (partial_call, partial_stock).
-    """
-    s0, sig, t = params.spot, params.volatility, contract.expiry
-    sig_sqrt_t = sig * math.sqrt(t)
-    grown_spot = s0 * math.exp(params.drift * t)
-    upper_tail_shifted = std_normal_cdf(-(thresholds.d2 - sig_sqrt_t))
-    partial_call = grown_spot * upper_tail_shifted - contract.strike * std_normal_cdf(-thresholds.d2)
-    partial_stock = grown_spot * (std_normal_cdf(thresholds.d1 - sig_sqrt_t) + upper_tail_shifted)
-    return partial_call, partial_stock
-
-
-def _holder_risk_from(
-    params: MarketParams,
-    contract: OptionContract,
-    price: float,
-    thresholds: RiskThresholds,
-) -> float:
-    t = contract.expiry
-    sig_sqrt_t = params.volatility * math.sqrt(t)
-    grown_spot = params.spot * math.exp(params.drift * t)
-    d, d_prime = thresholds.d, thresholds.d_prime
-    in_band_payoff = grown_spot * (
-        std_normal_cdf(d_prime - sig_sqrt_t) - std_normal_cdf(d - sig_sqrt_t)
-    ) - contract.strike * (std_normal_cdf(d_prime) - std_normal_cdf(d))
-    return price * math.exp(params.risk_free * t) - in_band_payoff / std_normal_cdf(d_prime)
+    return _RiskKernel(params, contract).thresholds(x, price)
 
 
 def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> RiskReport:
@@ -293,49 +307,21 @@ def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> Ris
 
         gamma_W = E[C 1_loss]/P - x E[S 1_loss]/P + x S0 e^{rT} - C_x e^{rT}
 
-    with P = N(d1) + N(-d2) the loss probability. The holder's risk is
-    filled in from its own closed form so one call yields the whole picture.
+    with P = N(d1) + N(-d2) the loss probability and, for s = sigma sqrt(T),
+    the partial expectations over the loss event
+
+        E[C(T) 1_loss] = S0 e^{mu T} N(-(d2 - s)) - K N(-d2)
+        E[S(T) 1_loss] = S0 e^{mu T} (N(d1 - s) + N(-(d2 - s))).
+
+    The holder's risk, below the compounded premium C_x e^{rT}, is
+
+        gamma_H = C_x e^{rT} - (S0 e^{mu T} [N(d'-s) - N(d-s)] - K [N(d') - N(d)]) / N(d').
 
     Raises:
-        NonpositivePrice: Propagated from fair_price.
+        NonpositivePrice: If the fair price at x is nonpositive.
         DegenerateLoss: If the loss probability underflows to zero.
     """
-    price = fair_price(params, contract, x)
-    thresholds = risk_thresholds(params, contract, x, price)
-    loss_prob = std_normal_cdf(thresholds.d1) + std_normal_cdf(-thresholds.d2)
-    if loss_prob <= 0.0:
-        raise DegenerateLoss(f"writer loss probability underflowed to zero at x={x}")
-    partial_call, partial_stock = writer_partial_expectations(params, contract, thresholds)
-    compounding = math.exp(params.risk_free * contract.expiry)
-    gamma_w = (
-        partial_call / loss_prob
-        - x * partial_stock / loss_prob
-        + x * params.spot * compounding
-        - price * compounding
-    )
-    return RiskReport(
-        x=x,
-        fair_price=price,
-        loss_prob=loss_prob,
-        partial_call=partial_call,
-        partial_stock=partial_stock,
-        writer_risk=gamma_w,
-        holder_risk=_holder_risk_from(params, contract, price, thresholds),
-        thresholds=thresholds,
-    )
-
-
-def holder_risk(params: MarketParams, contract: OptionContract, x: float) -> float:
-    """Holder's conditional expected loss at hedge fraction x, fair premium.
-
-    gamma_H = C_x e^{rT} - (S0 e^{mu T} [N(d'-s) - N(d-s)] - K [N(d') - N(d)]) / N(d')
-
-    The holder's loss is capped by the compounded premium, so the value is
-    always below C_x e^{rT}.
-    """
-    price = fair_price(params, contract, x)
-    thresholds = risk_thresholds(params, contract, x, price)
-    return _holder_risk_from(params, contract, price, thresholds)
+    return _RiskKernel(params, contract).report(x)
 
 
 def writer_loss(
@@ -408,24 +394,27 @@ def minimize_writer_risk(
     refines it to cfg.minimizer_tol. Scan ties break toward the smaller x.
 
     Raises:
-        EmptyDomain: If even the unhedged premium (x = 0) is nonpositive.
+        EmptyDomain: If the expected payoff is below the premium floor, 1e-8
+            of spot; so is every contract whose unhedged premium is nonpositive.
     """
     if cfg is None:
         cfg = NumericConfig()
-    try:
-        fair_price(params, contract, 0.0)
-    except NonpositivePrice as exc:
-        raise EmptyDomain(f"no quotable price for strike {contract.strike}: {exc}") from exc
+    kernel = _RiskKernel(params, contract)
+    if kernel.below_premium_floor:
+        raise EmptyDomain(
+            f"no quotable price for strike {contract.strike}: expected payoff "
+            f"{kernel.expected_payoff} is below {_PREMIUM_FLOOR} of spot {params.spot}"
+        )
 
     def risk_at(x: float) -> float:
         try:
-            return writer_risk(params, contract, x).writer_risk
+            return kernel.report(x).writer_risk
         except PricingError:
             return math.inf
 
     # The premium is affine decreasing in x, so positivity holds on
     # [0, x_max); cap the scan there and at the x < 1 endpoint.
-    hi = min(MAX_HEDGE_FRACTION, price_positive_x_max(params, contract) * (1.0 - 1e-12))
+    hi = min(MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - 1e-12))
 
     step = cfg.minimizer_grid
     grid = [i * step for i in range(int(hi / step) + 1)]
@@ -442,7 +431,7 @@ def minimize_writer_risk(
     refined_value = risk_at(refined)
     if refined_value < value or (refined_value == value and refined < x_star):
         x_star = refined
-    report = writer_risk(params, contract, x_star)
+    report = kernel.report(x_star)
     return EquilibriumQuote(x_star=x_star, price=report.fair_price, report=report)
 
 

@@ -68,10 +68,11 @@ def draw_suite(
     intersected with {fair price > 0}.
 
     Two numeric guards keep every draw representable in doubles: contracts
-    whose unhedged premium falls below 1e-8 of spot are redrawn (such a
-    premium perturbs the strike below one ulp, so the strict threshold
-    inequalities have no floating-point meaning), and x stays a relative
-    1e-3 inside the premium-positivity boundary for the same reason.
+    below the premium floor that minimize_writer_risk refuses to quote (an
+    expected payoff under 1e-8 of spot, which perturbs the strike below one
+    ulp, so the strict threshold inequalities have no floating-point
+    meaning) are redrawn, and x stays a relative 1e-3 inside the
+    premium-positivity boundary for the same reason.
     With threshold_window set, draws are further redrawn until every loss
     threshold lies within [-window, window], which makes the loss events
     resolvable by a quadrature oracle on a [-10, 10] z window.
@@ -88,9 +89,10 @@ def draw_suite(
             risk_free=r,
         )
         contract = OptionContract(strike=s0 * rng.uniform(0.5, 1.5), expiry=rng.uniform(0.1, 3.0))
-        if expected_call_payoff_physical(params, contract) < 1e-8 * s0:
+        kernel = eq._RiskKernel(params, contract)
+        if kernel.below_premium_floor:
             continue
-        upper = min(eq.MAX_HEDGE_FRACTION, eq.price_positive_x_max(params, contract) * (1.0 - 1e-3))
+        upper = min(eq.MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - 1e-3))
         x = upper * rng.uniform(0.0, 1.0)
         if x <= 0.0:
             x = 0.5 * upper
@@ -99,10 +101,10 @@ def draw_suite(
             # window, and a premium big enough that pointwise loss values
             # clear the cancellation noise (~1 ulp of the strike) that the
             # definitional integrands pick up near the payoff kink.
-            price = eq.fair_price(params, contract, x)
+            price = kernel.fair_price(x)
             if price < 1e-5 * s0:
                 continue
-            th = eq.risk_thresholds(params, contract, x, price)
+            th = kernel.thresholds(x, price)
             bounded = (math.isinf(th.d1) or abs(th.d1) <= threshold_window) and all(
                 abs(v) <= threshold_window for v in (th.d, th.d2, th.d_prime)
             )
@@ -182,8 +184,8 @@ def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> 
 def check_threshold_ordering(n_draws: int, seed: int) -> CheckResult:
     violations = 0
     for params, contract, x in draw_suite(n_draws, seed):
-        price = eq.fair_price(params, contract, x)
-        th = eq.risk_thresholds(params, contract, x, price)
+        kernel = eq._RiskKernel(params, contract)
+        th = kernel.thresholds(x, kernel.fair_price(x))
         if math.isfinite(th.d1) and not th.d1 < th.d:
             violations += 1
         elif not (th.d < th.d2 and th.d < th.d_prime):
@@ -204,7 +206,7 @@ def check_threshold_arg_monotonicity(n_draws: int, seed: int) -> CheckResult:
         t = contract.expiry
         compounding = math.exp(params.risk_free * t)
         xs = np.linspace(0.01, upper, 100)
-        prices = eq.fair_prices(params, contract, xs)
+        prices = eq.fair_price(params, contract, xs)
         dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
         live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
             params.spot * (1.0 - xs)
@@ -278,14 +280,14 @@ def check_risks_vs_quadrature(
 def check_mc_agreement(
     params: MarketParams,
     contract: OptionContract,
-    numeric_cfg: NumericConfig,
     mc_cfg: McConfig,
     quote: eq.EquilibriumQuote,
 ) -> CheckResult:
     """Closed forms at the quote vs their Monte Carlo estimates, 3.5 standard errors.
 
-    A sample too small to give a standard error, or with no positive loss
-    for a conditional risk, fails the check instead of raising.
+    A sample too small to give a standard error, or with fewer than two
+    positive losses for a conditional risk (so no finite band), fails the
+    check instead of raising.
     """
     report = quote.report
     n = mc_cfg.paths
@@ -319,6 +321,10 @@ def check_mc_agreement(
         h_est = mc_conditional_loss(eq.holder_loss(params, contract, quote.price, sample))
     except NoLossEvents as exc:
         return CheckResult("mc_agreement", False, f"{exc}; paths {n}")
+    for name, est in (("writer_risk", w_est), ("holder_risk", h_est)):
+        if est.n_effective < 2:
+            detail = f"{name} has {est.n_effective} positive loss; a band needs at least 2"
+            return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
     gaps.append(("writer_risk", abs(report.writer_risk - w_est.mean), 3.5 * w_est.std_error))
     gaps.append(("holder_risk", abs(report.holder_risk - h_est.mean), 3.5 * h_est.std_error))
 
@@ -376,6 +382,6 @@ def run_all_checks(
         check_risks_vs_quadrature(params, contract, quad_cfg),
     ]
     quote = eq.minimize_writer_risk(params, contract, numeric_cfg)
-    results.append(check_mc_agreement(params, contract, numeric_cfg, mc_cfg, quote))
+    results.append(check_mc_agreement(params, contract, mc_cfg, quote))
     results.append(check_quote_grid_consistency(params, contract, numeric_cfg, quote))
     return results

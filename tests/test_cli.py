@@ -96,6 +96,14 @@ class TestQuoteCommand:
         assert result.returncode == 3
         assert "EmptyDomain" in result.stderr
 
+    def test_premium_below_floor_exits_3(self):
+        # Expected payoff 1.07e-113 at spot 1: no quote with floating-point meaning.
+        result = run_cli("quote", "--s0", "1", "--mu", "0.1", "--sigma", "0.2",
+                         "--r", "0.05", "--t", "1", "--strike", "100")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "EmptyDomain" in result.stderr
+
     def test_multiple_strikes_rejected(self):
         result = run_cli("quote", *EX_ARGS, "--strikes", "100,105")
         assert result.returncode == 2
@@ -237,6 +245,28 @@ class TestConfigHandling:
                          "--r", "0.05", "--strike", "100")
         assert result.returncode == 2
         assert "t" in result.stderr
+
+    def test_overflowing_number_exits_2_naming_key(self):
+        result = run_cli("quote", "--s0", "1e400", "--mu", "0.1", "--sigma", "0.2",
+                         "--r", "0.05", "--t", "1", "--strike", "100")
+        assert result.returncode == 2
+        assert "config key 's0' must be a finite number, got inf" in result.stderr
+
+    def test_boolean_number_exits_2(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"s0": True, "mu": 0.1, "sigma": 0.2, "r": 0.05,
+                                      "t": 1.0, "strikes": [100]}))
+        result = run_cli("quote", "--config", str(config))
+        assert result.returncode == 2
+        assert "config key 's0' must be a finite number, got True" in result.stderr
+
+    def test_fractional_paths_exits_2(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05,
+                                      "t": 1.0, "strikes": [100], "paths": 2.7}))
+        result = run_cli("validate", "--config", str(config))
+        assert result.returncode == 2
+        assert "config key 'paths' must be an integer, got 2.7" in result.stderr
 
     def test_malformed_json_exits_2(self, tmp_path):
         config = tmp_path / "bad.json"

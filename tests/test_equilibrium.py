@@ -21,12 +21,10 @@ from fairhedge import (
     NumericConfig,
     OptionContract,
     QuadConfig,
-    RiskThresholds,
     expected_call_payoff_physical,
     expected_profits,
     fair_price,
     holder_loss,
-    holder_risk,
     implied_vol,
     mc_conditional_loss,
     minimize_writer_risk,
@@ -36,10 +34,9 @@ from fairhedge import (
     simulate_terminal,
     volatility_smile,
     writer_loss,
-    writer_partial_expectations,
     writer_risk,
 )
-from fairhedge.equilibrium import fair_prices, price_positive_x_max
+from fairhedge.equilibrium import price_positive_x_max
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 
@@ -86,19 +83,19 @@ class TestFairPrice:
             fair_price(ref_params, ref_contract, -0.1)
 
     def test_array_prices_equal_scalar_prices_bit_for_bit(self):
-        """fair_prices, which the monotonicity check uses, is fair_price element by element."""
+        """An array of x, as the monotonicity check passes, prices element by element."""
         for params, contract, _ in draw_suite(40, seed=25):
             upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
             xs = np.linspace(0.0, upper, 100)
             scalar = [fair_price(params, contract, float(x)) for x in xs]
-            assert fair_prices(params, contract, xs).tolist() == scalar
+            assert fair_price(params, contract, xs).tolist() == scalar
 
     def test_array_prices_keep_the_scalar_domain_errors(self, ref_params, ref_contract):
         with pytest.raises(ValueError, match="hedge fraction"):
-            fair_prices(ref_params, ref_contract, np.array([0.5, 1.0]))
+            fair_price(ref_params, ref_contract, np.array([0.5, 1.0]))
         deep_otm = OptionContract(strike=300.0, expiry=0.25)
         with pytest.raises(NonpositivePrice):
-            fair_prices(ref_params, deep_otm, np.array([0.0, 0.5]))
+            fair_price(ref_params, deep_otm, np.array([0.0, 0.5]))
 
     def test_price_crosses_zero_at_x_max(self):
         params = MarketParams(spot=100.0, drift=0.10, volatility=0.2, risk_free=0.05)
@@ -232,26 +229,11 @@ class TestRiskThresholds:
 
 
 class TestWriterPartialExpectations:
-    def test_empty_loss_region_gives_zero(self, ref_params, ref_contract):
-        th = RiskThresholds(d1=-math.inf, d=-0.4, d2=math.inf, d_prime=0.2)
-        partial_call, partial_stock = writer_partial_expectations(ref_params, ref_contract, th)
-        assert partial_call == 0.0
-        assert partial_stock == 0.0
-
-    def test_full_exercise_region_recovers_expected_payoff(self, ref_params, ref_contract):
-        # Degenerate construction d2 = d: the indicator covers all of
-        # {S(T) > K}, so the partial call expectation is the full one.
-        price = fair_price(ref_params, ref_contract, 0.0)
-        d = risk_thresholds(ref_params, ref_contract, 0.0, price).d
-        th = RiskThresholds(d1=-math.inf, d=d, d2=d, d_prime=0.2)
-        partial_call, _ = writer_partial_expectations(ref_params, ref_contract, th)
-        assert partial_call == pytest.approx(REF_EXPECTED_CALL, rel=1e-12)
-
     def test_matches_quadrature(self, ref_params, ref_contract):
         x = 0.7212
-        price = fair_price(ref_params, ref_contract, x)
-        th = risk_thresholds(ref_params, ref_contract, x, price)
-        partial_call, partial_stock = writer_partial_expectations(ref_params, ref_contract, th)
+        report = writer_risk(ref_params, ref_contract, x)
+        th = report.thresholds
+        partial_call, partial_stock = report.partial_call, report.partial_stock
 
         def terminal(z):
             return terminal_price(ref_params, 1.0, z)
@@ -322,7 +304,7 @@ class TestWriterRisk:
 
 class TestHolderRisk:
     def test_reference_value_against_quadrature(self, ref_params, ref_contract):
-        value = holder_risk(ref_params, ref_contract, 0.7212)
+        value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
         assert value == pytest.approx(GAMMA_H_AT_X_STAR, rel=1e-12)
         price = fair_price(ref_params, ref_contract, 0.7212)
         _, _, gamma_quad = quadrature_risk(ref_params, ref_contract, 0.7212, price, QuadConfig())
@@ -331,19 +313,19 @@ class TestHolderRisk:
     def test_capped_by_compounded_premium(self, ref_params, ref_contract):
         for x in (0.0, 0.25, 0.5, 0.7212, 0.99):
             price = fair_price(ref_params, ref_contract, x)
-            assert 0.0 < holder_risk(ref_params, ref_contract, x) < price * math.exp(0.05)
+            assert 0.0 < writer_risk(ref_params, ref_contract, x).holder_risk < price * math.exp(0.05)
 
     def test_vanishing_strike_against_quadrature(self, ref_params):
         # K near zero: the holder only loses when S(T) falls below the
         # compounded premium plus the (tiny) strike.
         contract = OptionContract(strike=1e-6, expiry=1.0)
-        value = holder_risk(ref_params, contract, 0.3)
+        value = writer_risk(ref_params, contract, 0.3).holder_risk
         price = fair_price(ref_params, contract, 0.3)
         _, _, gamma_quad = quadrature_risk(ref_params, contract, 0.3, price, QuadConfig())
         assert value == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_against_monte_carlo(self, ref_params, ref_contract):
-        value = holder_risk(ref_params, ref_contract, 0.7212)
+        value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
         price = fair_price(ref_params, ref_contract, 0.7212)
         sample = simulate_terminal(ref_params, 1.0, McConfig(paths=1_000_000, seed=42))
         estimate = mc_conditional_loss(holder_loss(ref_params, ref_contract, price, sample))
@@ -371,6 +353,14 @@ class TestMinimizeWriterRisk:
         params = MarketParams(spot=100.0, drift=0.10, volatility=0.2, risk_free=0.05)
         contract = OptionContract(strike=1e6, expiry=0.1)
         with pytest.raises(EmptyDomain):
+            minimize_writer_risk(params, contract)
+
+    def test_premium_below_floor_is_not_quoted(self):
+        # The expected payoff is 1.07e-113 here; quoting it would give
+        # x* ~ 2e-112 at a premium of 5e-114 with d == d2 == d'.
+        params = MarketParams(spot=1.0, drift=0.10, volatility=0.2, risk_free=0.05)
+        contract = OptionContract(strike=100.0, expiry=1.0)
+        with pytest.raises(EmptyDomain, match="below 1e-08 of spot"):
             minimize_writer_risk(params, contract)
 
     def test_respects_minimizer_tolerance(self, ref_params, ref_contract):

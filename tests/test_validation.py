@@ -3,7 +3,8 @@
 The suite shares one quote between its Monte Carlo and grid checks and one
 quadrature rule between the four loss integrands. These tests pin that the
 shared versions give exactly the values of the step-by-step ones, and that
-a sample too small for a Monte Carlo band fails the check instead of raising.
+a sample too small for a finite Monte Carlo band fails the check instead of
+raising or passing.
 """
 
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 
 import fairhedge.equilibrium as eq
 import fairhedge.validation as validation
-from fairhedge import McConfig, NumericConfig, QuadConfig, quad_expectation
+from fairhedge import McConfig, QuadConfig, quad_expectation
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import (
     check_mc_agreement,
@@ -68,11 +69,10 @@ def test_run_all_checks_quotes_once(monkeypatch, ref_params, ref_contract):
 
 
 def test_single_path_fails_mc_check_without_warnings(ref_params, ref_contract):
-    cfg = NumericConfig()
-    quote = eq.minimize_writer_risk(ref_params, ref_contract, cfg)
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = check_mc_agreement(ref_params, ref_contract, cfg, McConfig(paths=1), quote)
+        result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=1), quote)
     assert result.name == "mc_agreement"
     assert not result.passed
     assert "at least 2 paths" in result.detail
@@ -81,11 +81,19 @@ def test_single_path_fails_mc_check_without_warnings(ref_params, ref_contract):
 def test_no_writer_losses_fail_mc_check(monkeypatch, ref_params, ref_contract):
     # At the reference quote the writer gains when S(T) stays at the strike.
     monkeypatch.setattr(validation, "simulate_terminal", lambda *args: np.full(16, 100.0))
-    cfg = NumericConfig()
-    quote = eq.minimize_writer_risk(ref_params, ref_contract, cfg)
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = check_mc_agreement(ref_params, ref_contract, cfg, McConfig(paths=16), quote)
+        result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=16), quote)
     assert not result.passed
     assert "no strictly positive losses" in result.detail
 
+
+
+def test_single_positive_loss_fails_mc_check(ref_params, ref_contract):
+    # Three paths give one positive writer loss, whose standard error is inf:
+    # an infinite band would pass any gap, so the check must fail instead.
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
+    result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=3, seed=0), quote)
+    assert not result.passed
+    assert result.detail == "writer_risk has 1 positive loss; a band needs at least 2; paths 3"
