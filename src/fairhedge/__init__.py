@@ -40,6 +40,7 @@ from .equilibrium import (
 from .errors import (
     BracketExhausted,
     DegenerateLoss,
+    DegenerateMarket,
     DomainError,
     EmptyDomain,
     ExpiredContract,
@@ -75,5 +76,5 @@ __all__ = [
     "simulate_terminal", "mc_conditional_loss", "quad_expectation",
     # errors
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
-    "DomainError", "DegenerateLoss", "EmptyDomain", "ExpiredContract", "NoLossEvents",
+    "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract", "NoLossEvents",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -133,6 +134,10 @@ def parse_config(data: dict) -> RunConfig:
         raise ValueError(f"config key 'paths' must be >= 1, got {cfg.paths}")
     if not cfg.grid_step > 0:
         raise ValueError(f"config key 'grid_step' must be positive, got {cfg.grid_step}")
+    if cfg.out and (
+        os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or os.curdir)
+    ):
+        raise ValueError(f"config key 'out' is not a writable file path: {cfg.out!r}")
     return cfg
 
 
@@ -230,8 +235,11 @@ def _render(rows: list[dict], header: list[str], fmt: str, json_extra: Sequence[
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out path {cfg.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

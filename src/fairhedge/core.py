@@ -6,6 +6,7 @@ price is S(T) = S0 * exp((g - sigma^2/2) T + sigma sqrt(T) Z) with Z
 standard normal and g the relevant growth rate. Everything here is a scalar
 closed form built from the standard normal CDF:
 
+- rate_factors:     e^{mu T}, e^{rT} and e^{-rT}, the one place they are formed
 - d_plus_minus:     the d+/d- pair for an arbitrary growth rate
 - bs_call_price:    risk-neutral Black-Scholes call price
 - expected_call_payoff_physical / expected_put_payoff_physical:
@@ -20,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import BracketExhausted, PriceOutOfBounds
+from .errors import BracketExhausted, DegenerateMarket, PriceOutOfBounds
 
 __all__ = [
     "MarketParams",
     "OptionContract",
     "NumericConfig",
     "std_normal_cdf",
+    "rate_factors",
     "d_plus_minus",
     "bs_call_price",
     "expected_call_payoff_physical",
@@ -118,6 +120,27 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def rate_factors(params: MarketParams, expiry: float) -> tuple[float, float, float]:
+    """Growth e^{mu T}, compounding e^{rT} and discount e^{-rT} over the horizon.
+
+    Raises:
+        DegenerateMarket: If a factor overflows or underflows to zero, so no
+            price or risk over this horizon has floating-point meaning.
+    """
+    mu_t, r_t = params.drift * expiry, params.risk_free * expiry
+    try:
+        growth, compounding, discount = math.exp(mu_t), math.exp(r_t), math.exp(-r_t)
+    except OverflowError:
+        growth = compounding = discount = math.inf
+    if not (
+        0.0 < growth < math.inf and 0.0 < compounding < math.inf and 0.0 < discount < math.inf
+    ):
+        raise DegenerateMarket(
+            f"growth factors leave the float range: drift*T = {mu_t}, risk_free*T = {r_t}"
+        )
+    return growth, compounding, discount
+
+
 def d_plus_minus(
     params: MarketParams, contract: OptionContract, growth: float
 ) -> tuple[float, float]:
@@ -151,7 +174,7 @@ def bs_call_price(params: MarketParams, contract: OptionContract) -> float:
     C = S0 N(d+) - K e^{-rT} N(d-), with d+- taken at the risk-free rate.
     """
     d_plus, d_minus = d_plus_minus(params, contract, params.risk_free)
-    discount = math.exp(-params.risk_free * contract.expiry)
+    discount = rate_factors(params, contract.expiry)[2]
     return params.spot * std_normal_cdf(d_plus) - discount * contract.strike * std_normal_cdf(d_minus)
 
 
@@ -162,7 +185,7 @@ def expected_call_payoff_physical(params: MarketParams, contract: OptionContract
     an undiscounted expectation, not a price.
     """
     d_plus, d_minus = d_plus_minus(params, contract, params.drift)
-    growth = math.exp(params.drift * contract.expiry)
+    growth = rate_factors(params, contract.expiry)[0]
     return params.spot * growth * std_normal_cdf(d_plus) - contract.strike * std_normal_cdf(d_minus)
 
 
@@ -173,7 +196,7 @@ def expected_put_payoff_physical(params: MarketParams, contract: OptionContract)
     expectations satisfy call - put = S0 e^{mu T} - K (payoff parity).
     """
     d_plus, d_minus = d_plus_minus(params, contract, params.drift)
-    growth = math.exp(params.drift * contract.expiry)
+    growth = rate_factors(params, contract.expiry)[0]
     return contract.strike * std_normal_cdf(-d_minus) - params.spot * growth * std_normal_cdf(-d_plus)
 
 
@@ -205,7 +228,7 @@ def implied_vol(
     """
     if cfg is None:
         cfg = NumericConfig()
-    discount = math.exp(-params.risk_free * contract.expiry)
+    discount = rate_factors(params, contract.expiry)[2]
     lower = max(params.spot - contract.strike * discount, 0.0)
     if not lower < observed_price < params.spot:
         raise PriceOutOfBounds(

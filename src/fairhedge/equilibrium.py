@@ -34,10 +34,12 @@ from .core import (
     OptionContract,
     expected_call_payoff_physical,
     implied_vol,
+    rate_factors,
     std_normal_cdf,
 )
 from .errors import (
     DegenerateLoss,
+    DegenerateMarket,
     DomainError,
     EmptyDomain,
     ExpiredContract,
@@ -138,6 +140,9 @@ class _RiskKernel:
     the zero crossing x_max of the premium, the premium-floor test, the cut
     point d and the x-free constants of d1, d2 and d' are fixed at
     construction; the holder's N(d) terms are added on the first report.
+    Construction raises DegenerateMarket when a growth factor leaves the
+    float range (from rate_factors) or the hedge edge is zero in floating
+    point, so x_max would divide by zero.
     The methods evaluate the formulas at any x in one fixed operation
     order, so the public wrappers and the minimizer's scan give identical
     bits for identical inputs.
@@ -146,14 +151,18 @@ class _RiskKernel:
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
         s0, sig, mu, t = params.spot, params.volatility, params.drift, contract.expiry
         self.spot, self.strike = s0, contract.strike
+        growth, self.compounding, self.discount = rate_factors(params, t)
+        carry = growth - self.compounding
+        edge_scale = 0.5 * s0 * carry * self.discount
+        if not edge_scale > 0:
+            raise DegenerateMarket(
+                f"hedge edge S0 (e^(mu T) - e^(r T)) is zero in floating point: "
+                f"drift*T = {mu * t}, risk_free*T = {params.risk_free * t}"
+            )
         self.expected_payoff = expected_call_payoff_physical(params, contract)
         self.below_premium_floor = self.expected_payoff < _PREMIUM_FLOOR * s0
-        self.discount = math.exp(-params.risk_free * t)
-        self.compounding = math.exp(params.risk_free * t)
-        growth = math.exp(mu * t)
-        carry = growth - self.compounding
         self.edge = s0 * carry
-        self.x_max = self.discount * self.expected_payoff / (0.5 * s0 * carry * self.discount)
+        self.x_max = self.discount * self.expected_payoff / edge_scale
         self.grown_spot = s0 * growth
         self.sig_sqrt_t = sig * math.sqrt(t)
         self.shift = 0.5 * sig * sig * t - mu * t
@@ -275,10 +284,10 @@ def expected_profits(
         raise ValueError(f"hedge fraction must lie in [0, 1], got {x}")
     if not price > 0:
         raise ValueError(f"price must be positive, got {price}")
-    t = contract.expiry
+    growth, compounding, _ = rate_factors(params, contract.expiry)
     expected_payoff = expected_call_payoff_physical(params, contract)
-    compounded = price * math.exp(params.risk_free * t)
-    edge = x * params.spot * (math.exp(params.drift * t) - math.exp(params.risk_free * t))
+    compounded = price * compounding
+    edge = x * params.spot * (growth - compounding)
     return expected_payoff - compounded, edge + compounded - expected_payoff
 
 
@@ -337,7 +346,7 @@ def writer_loss(
     closed-form risk, used by the simulation and quadrature cross-checks.
     """
     s = np.asarray(terminal, dtype=float)
-    compounding = math.exp(params.risk_free * contract.expiry)
+    compounding = rate_factors(params, contract.expiry)[1]
     # In place on two buffers, in the formula's operation order so the bits match it.
     loss = np.subtract(s, contract.strike, out=np.empty_like(s))
     np.maximum(loss, 0.0, out=loss)
@@ -358,7 +367,7 @@ def holder_loss(
     s = np.asarray(terminal, dtype=float)
     loss = np.subtract(s, contract.strike, out=np.empty_like(s))
     np.maximum(loss, 0.0, out=loss)
-    return np.subtract(price * math.exp(params.risk_free * contract.expiry), loss, out=loss)
+    return np.subtract(price * rate_factors(params, contract.expiry)[1], loss, out=loss)
 
 
 def _golden_section(objective, lo: float, hi: float, tol: float) -> float:
@@ -445,7 +454,8 @@ def volatility_smile(
 
     Strikes are processed independently (safe to parallelize; results keep
     input order) and a failure at one strike becomes that point's error
-    marker instead of aborting the sweep.
+    marker instead of aborting the sweep. A DegenerateMarket holds at every
+    strike, so it propagates.
     """
     if not strikes:
         raise ValueError("strikes must be nonempty")
@@ -469,6 +479,8 @@ def volatility_smile(
                     loss_prob=quote.report.loss_prob,
                 )
             )
+        except DegenerateMarket:
+            raise
         except PricingError as exc:
             nan = math.nan
             points.append(

@@ -23,6 +23,10 @@ class NonpositivePrice(PricingError):
     """The fair price at the requested hedge fraction is zero or negative."""
 
 
+class DegenerateMarket(PricingError):
+    """Growth factors e^{mu T}, e^{rT}, e^{-rT} leave the float range, or the hedge edge is zero."""
+
+
 class DomainError(PricingError):
     """Threshold log argument is nonpositive; inputs outside the valid regime."""
 

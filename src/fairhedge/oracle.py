@@ -2,7 +2,9 @@
 
 Both engines know nothing about the closed forms they are used to check.
 The simulator draws exact lognormal terminal prices (the SDE has a closed
-solution, so there is no time-stepping error), and the quadrature computes
+solution, so there is no time-stepping error) chunk by chunk, and
+RunningMoments folds a sample into a mean and standard error block by
+block, so an estimate needs no path-sized array. The quadrature computes
 E[f(Z)] for Z ~ N(0,1) with a composite Gauss-Legendre rule. Indicator
 discontinuities should be passed as breakpoints so every panel sees a
 smooth integrand.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +25,9 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "QuadConfig",
+    "RunningMoments",
     "terminal_price",
+    "terminal_chunks",
     "simulate_terminal",
     "mc_conditional_loss",
     "quad_rule",
@@ -101,32 +105,94 @@ def terminal_price(
     return s
 
 
+def terminal_chunks(
+    params: MarketParams,
+    expiry: float,
+    cfg: McConfig,
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Yield the terminal-price sample of cfg chunk by chunk, in chunk order.
+
+    Each chunk's normal draws are written into a buffer and mapped to S(T)
+    there by terminal_price. With out (cfg.paths long) chunk i lands in its
+    own slice of out; without it every chunk reuses one chunk-sized buffer,
+    so a chunk is valid only until the next one is drawn.
+    """
+    if not expiry > 0:
+        raise ValueError(f"expiry must be positive, got {expiry}")
+    reuse = out is None
+    buffer = np.empty(min(cfg.chunk_size, cfg.paths)) if reuse else out
+    for i, start in enumerate(range(0, cfg.paths, cfg.chunk_size)):
+        n = min(cfg.chunk_size, cfg.paths - start)
+        chunk = buffer[:n] if reuse else buffer[start : start + n]
+        _chunk_rng(cfg.seed, i).standard_normal(out=chunk)
+        yield terminal_price(params, expiry, chunk, out=chunk)
+
+
 def simulate_terminal(
     params: MarketParams, expiry: float, cfg: McConfig | None = None
 ) -> np.ndarray:
     """Sample terminal stock prices S(T) under the real-world drift.
 
-    Each chunk's normal draws are written into the output and mapped to
-    S(T) there by terminal_price, so no chunk-sized temporaries are made.
+    The chunks of terminal_chunks are written into the output, so no
+    chunk-sized temporaries are made.
 
     Returns:
         Array of cfg.paths terminal prices, deterministic for a fixed config.
     """
     if cfg is None:
         cfg = McConfig()
-    if not expiry > 0:
-        raise ValueError(f"expiry must be positive, got {expiry}")
     out = np.empty(cfg.paths)
-    n_chunks = -(-cfg.paths // cfg.chunk_size)
-    for i in range(n_chunks):
-        chunk = out[i * cfg.chunk_size : (i + 1) * cfg.chunk_size]
-        _chunk_rng(cfg.seed, i).standard_normal(out=chunk)
-        terminal_price(params, expiry, chunk, out=chunk)
+    for _ in terminal_chunks(params, expiry, cfg, out=out):
+        pass
     return out
+
+
+class RunningMoments:
+    """Count, mean and sum of squared deviations (M2) of values fed block by block.
+
+    A block's mean is its sum over its count and its M2 the sum of its
+    squared deviations from that mean; blocks then merge by the pairwise
+    update of Chan, Golub and LeVeque (1983). The first block is taken as
+    is, so one block gives exactly numpy's mean and std(ddof=1); an empty
+    block changes nothing.
+    """
+
+    __slots__ = ("count", "mean", "m2")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, values: np.ndarray) -> None:
+        n = int(values.size)
+        if n == 0:
+            return
+        mean = float(np.add.reduce(values)) / n
+        dev = np.subtract(values, mean)
+        np.multiply(dev, dev, out=dev)
+        m2 = float(np.add.reduce(dev))
+        if self.count == 0:
+            self.count, self.mean, self.m2 = n, mean, m2
+            return
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean += delta * n / total
+        self.m2 += m2 + delta * delta * self.count * n / total
+        self.count = total
+
+    def estimate(self) -> McEstimate:
+        """The mean, its standard error sqrt(M2 / (n - 1)) / sqrt(n) (inf at n = 1), and n."""
+        n = self.count
+        std_error = math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
+        return McEstimate(mean=self.mean, std_error=std_error, n_effective=n)
 
 
 def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
     """Empirical mean of a loss sample conditional on the loss being positive.
+
+    The strictly positive entries are one block of RunningMoments.
 
     Args:
         loss_values: Sample of realized losses (any sign).
@@ -141,13 +207,11 @@ def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
     arr = np.asarray(loss_values, dtype=float)
     if arr.size == 0:
         raise ValueError("loss sample must be nonempty")
-    positive = arr[arr > 0]
-    n = int(positive.size)
-    if n == 0:
+    moments = RunningMoments()
+    moments.add(arr[arr > 0])
+    if moments.count == 0:
         raise NoLossEvents("no strictly positive losses in the sample")
-    mean = float(positive.mean())
-    std_error = float(positive.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return McEstimate(mean=mean, std_error=std_error, n_effective=n)
+    return moments.estimate()
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)

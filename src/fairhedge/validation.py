@@ -25,15 +25,16 @@ from .core import (
     expected_call_payoff_physical,
     expected_put_payoff_physical,
     implied_vol,
+    rate_factors,
 )
-from .errors import NoLossEvents, PricingError
+from .errors import PricingError
 from .oracle import (
     McConfig,
     QuadConfig,
-    mc_conditional_loss,
+    RunningMoments,
     quad_expectation,
     quad_rule,
-    simulate_terminal,
+    terminal_chunks,
     terminal_price,
 )
 
@@ -120,7 +121,13 @@ def check_implied_vol_round_trip(
     worst = 0.0
     for sigma in (0.05, 0.1, 0.2, 0.4, 1.0):
         trial = replace(params, volatility=sigma)
-        recovered = implied_vol(trial, contract, bs_call_price(trial, contract), cfg)
+        try:
+            recovered = implied_vol(trial, contract, bs_call_price(trial, contract), cfg)
+        except PricingError as exc:
+            # A deep in-the-money trial can price exactly at its intrinsic
+            # bound, where no implied vol exists: the round trip fails.
+            detail = f"sigma {sigma}: {type(exc).__name__}: {exc}"
+            return CheckResult("implied_vol_round_trip", False, detail)
         worst = max(worst, abs(recovered - sigma))
     return CheckResult(
         "implied_vol_round_trip", worst <= 1e-6, f"max abs err {worst:.3e} (tol 1e-06)"
@@ -143,7 +150,7 @@ def check_price_vs_quadrature(
 
     kink_q = -d_plus_minus(params, contract, params.risk_free)[1]
     kink_p = -d_plus_minus(params, contract, params.drift)[1]
-    bs_quad = math.exp(-params.risk_free * t) * quad_expectation(
+    bs_quad = rate_factors(params, t)[2] * quad_expectation(
         payoff_at(params.risk_free), quad_cfg, breakpoints=[kink_q]
     )
     epc_quad = quad_expectation(payoff_at(params.drift), quad_cfg, breakpoints=[kink_p])
@@ -160,7 +167,7 @@ def check_physical_parity(params: MarketParams, contract: OptionContract) -> Che
     t = contract.expiry
     call = expected_call_payoff_physical(params, contract)
     put = expected_put_payoff_physical(params, contract)
-    forward = params.spot * math.exp(params.drift * t) - contract.strike
+    forward = params.spot * rate_factors(params, t)[0] - contract.strike
     err = abs(call - put - forward) / max(1.0, abs(call), abs(put))
     return CheckResult(
         "physical_put_call_parity", err <= 1e-10, f"rel err {err:.3e} (tol 1e-10)"
@@ -203,8 +210,7 @@ def check_threshold_arg_monotonicity(n_draws: int, seed: int) -> CheckResult:
         upper = min(0.99, valid_hedge_upper_bound(params, contract) * 0.99)
         if upper <= 0.02:
             continue
-        t = contract.expiry
-        compounding = math.exp(params.risk_free * t)
+        compounding = rate_factors(params, contract.expiry)[1]
         xs = np.linspace(0.01, upper, 100)
         prices = eq.fair_price(params, contract, xs)
         dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
@@ -277,6 +283,11 @@ def check_risks_vs_quadrature(
     )
 
 
+# Paths per block of the Monte Carlo check: 256 KB of float64, so a block
+# and its loss temporaries stay in a 2 MB L2 cache.
+_MC_BLOCK = 32_768
+
+
 def check_mc_agreement(
     params: MarketParams,
     contract: OptionContract,
@@ -285,48 +296,52 @@ def check_mc_agreement(
 ) -> CheckResult:
     """Closed forms at the quote vs their Monte Carlo estimates, 3.5 standard errors.
 
-    A sample too small to give a standard error, or with fewer than two
-    positive losses for a conditional risk (so no finite band), fails the
-    check instead of raising.
+    One streamed pass: each chunk of the sample is walked in blocks of
+    _MC_BLOCK paths, whose payoffs and positive writer and holder losses
+    feed running moments, so no path-sized array is made. A sample too
+    small to give a standard error, or with fewer than two positive losses
+    for a conditional risk (so no finite band), fails the check instead of
+    raising.
     """
     report = quote.report
     n = mc_cfg.paths
     if n < 2:
         detail = f"needs at least 2 paths for a standard error; paths {n}"
         return CheckResult("mc_agreement", False, detail)
-    sample = simulate_terminal(params, contract.expiry, mc_cfg)
 
-    payoff = np.subtract(sample, contract.strike)
-    np.maximum(payoff, 0.0, out=payoff)
-    payoff_se = float(payoff.std(ddof=1) / math.sqrt(n))
-    gaps = []
-    gaps.append(
+    payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
+    for chunk in terminal_chunks(params, contract.expiry, mc_cfg):
+        for start in range(0, chunk.size, _MC_BLOCK):
+            terminal = chunk[start : start + _MC_BLOCK]
+            payoffs = np.subtract(terminal, contract.strike)
+            payoff.add(np.maximum(payoffs, 0.0, out=payoffs))
+            losses = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
+            writer.add(losses[losses > 0])
+            losses = eq.holder_loss(params, contract, quote.price, terminal)
+            holder.add(losses[losses > 0])
+
+    if writer.count == 0 or holder.count == 0:
+        return CheckResult(
+            "mc_agreement", False, f"no strictly positive losses in the sample; paths {n}"
+        )
+    for name, moments in (("writer_risk", writer), ("holder_risk", holder)):
+        if moments.count < 2:
+            detail = f"{name} has {moments.count} positive loss; a band needs at least 2"
+            return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
+    payoff_est, w_est, h_est = payoff.estimate(), writer.estimate(), holder.estimate()
+    # The writer loses on exactly the paths counted in its positive losses.
+    p_hat = writer.count / n
+    p_se = math.sqrt(p_hat * (1.0 - p_hat) / n)
+    gaps = [
         (
             "expected_call",
-            abs(expected_call_payoff_physical(params, contract) - float(payoff.mean())),
-            3.5 * payoff_se,
-        )
-    )
-    # Each path-sized array is dropped after its last use to bound peak memory.
-    del payoff
-
-    w_losses = eq.writer_loss(params, contract, quote.x_star, quote.price, sample)
-    p_hat = float((w_losses > 0).mean())
-    p_se = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    gaps.append(("loss_prob", abs(report.loss_prob - p_hat), 3.5 * p_se))
-
-    try:
-        w_est = mc_conditional_loss(w_losses)
-        del w_losses
-        h_est = mc_conditional_loss(eq.holder_loss(params, contract, quote.price, sample))
-    except NoLossEvents as exc:
-        return CheckResult("mc_agreement", False, f"{exc}; paths {n}")
-    for name, est in (("writer_risk", w_est), ("holder_risk", h_est)):
-        if est.n_effective < 2:
-            detail = f"{name} has {est.n_effective} positive loss; a band needs at least 2"
-            return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
-    gaps.append(("writer_risk", abs(report.writer_risk - w_est.mean), 3.5 * w_est.std_error))
-    gaps.append(("holder_risk", abs(report.holder_risk - h_est.mean), 3.5 * h_est.std_error))
+            abs(expected_call_payoff_physical(params, contract) - payoff_est.mean),
+            3.5 * payoff_est.std_error,
+        ),
+        ("loss_prob", abs(report.loss_prob - p_hat), 3.5 * p_se),
+        ("writer_risk", abs(report.writer_risk - w_est.mean), 3.5 * w_est.std_error),
+        ("holder_risk", abs(report.holder_risk - h_est.mean), 3.5 * h_est.std_error),
+    ]
 
     passed = all(gap <= band for _, gap, band in gaps)
     detail = "; ".join(f"{name} gap {gap:.2e} (band {band:.2e})" for name, gap, band in gaps)

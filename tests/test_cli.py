@@ -117,6 +117,37 @@ class TestQuoteCommand:
                                 "loss_prob", "d1", "d", "d2", "d_prime"}
 
 
+class TestDegenerateMarkets:
+    # Growth factors that overflow, or a hedge edge e^(mu T) - e^(r T) that
+    # rounds to zero, are domain errors (exit 3) on every command they reach.
+    OVERFLOW = [
+        ["--mu", "800", "--r", "0.05", "--t", "1"],
+        ["--mu", "0.1", "--r", "0.05", "--t", "20000"],
+        ["--mu", "0.1", "--r", "-800", "--t", "1"],
+    ]
+    ZERO_EDGE = [
+        ["--mu", "0.1", "--r", "0.05", "--t", "1e-300"],
+        ["--mu", "1e-300", "--r", "0", "--t", "1"],
+    ]
+
+    @pytest.mark.parametrize("command", ["price", "quote", "smile"])
+    @pytest.mark.parametrize("market", OVERFLOW, ids=["mu", "t", "r"])
+    def test_overflowing_growth_factor_exits_3(self, command, market):
+        result = run_cli(command, "--s0", "100", "--sigma", "0.2", *market, "--strike", "100")
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: DegenerateMarket: growth factors")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["quote", "smile"])
+    @pytest.mark.parametrize("market", ZERO_EDGE, ids=["t", "mu"])
+    def test_hedge_edge_rounding_to_zero_exits_3(self, command, market):
+        result = run_cli(command, "--s0", "100", "--sigma", "0.2", *market, "--strike", "100")
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("domain error: DegenerateMarket: hedge edge")
+
+
 class TestRiskCurveCommand:
     def test_grid_has_100_rows_and_argmin_near_072(self):
         result = run_cli("risk-curve", *EX_ARGS, "--strike", "100", "--grid-step", "0.01")
@@ -288,6 +319,19 @@ class TestConfigHandling:
         assert result.returncode == 0
         assert result.stdout == ""
         assert out.read_text().splitlines()[0] == SMILE_CSV_HEADER
+
+    def test_output_in_missing_directory_exits_2_before_computing(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = run_cli("price", *EX_ARGS, "--strike", "100", "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"config error: config key 'out' is not a writable file path: {str(out)!r}\n"
+        assert not out.parent.exists()
+
+    def test_output_naming_a_directory_is_rejected_with_the_config(self, tmp_path):
+        data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0,
+                "strikes": [100.0], "out": str(tmp_path)}
+        with pytest.raises(ValueError, match="config key 'out'"):
+            parse_config(data)
 
     def test_round_trip_is_semantically_stable(self):
         data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0,

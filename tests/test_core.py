@@ -14,6 +14,7 @@ import pytest
 
 from fairhedge import (
     BracketExhausted,
+    DegenerateMarket,
     MarketParams,
     NumericConfig,
     OptionContract,
@@ -26,6 +27,7 @@ from fairhedge import (
     quad_expectation,
     std_normal_cdf,
 )
+from fairhedge.core import rate_factors
 from fairhedge.validation import draw_suite
 
 # Quadrature-derived values for the reference scenario, frozen from the
@@ -126,6 +128,23 @@ class TestDPlusMinus:
             d_plus, d_minus = d_plus_minus(params, contract, params.drift)
             gap = params.volatility * math.sqrt(contract.expiry)
             assert d_plus - d_minus == pytest.approx(gap, rel=1e-12)
+
+
+class TestRateFactors:
+    def test_factors_are_the_three_exponentials(self, ref_params):
+        assert rate_factors(ref_params, 2.0) == (math.exp(0.2), math.exp(0.1), math.exp(-0.1))
+
+    @pytest.mark.parametrize(
+        "drift, risk_free, expiry",
+        [(800.0, 0.05, 1.0), (0.1, 0.05, 20_000.0), (0.1, -800.0, 1.0)],
+        ids=["growth-overflows", "long-horizon", "discount-overflows"],
+    )
+    def test_factor_outside_the_float_range_is_a_domain_error(self, drift, risk_free, expiry):
+        params = MarketParams(spot=100.0, drift=drift, volatility=0.2, risk_free=risk_free)
+        contract = OptionContract(strike=100.0, expiry=expiry)
+        for compute in (bs_call_price, expected_call_payoff_physical, expected_put_payoff_physical):
+            with pytest.raises(DegenerateMarket, match="growth factors"):
+                compute(params, contract)
 
 
 class TestBsCallPrice:

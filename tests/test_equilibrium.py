@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fairhedge import (
+    DegenerateMarket,
     DomainError,
     EmptyDomain,
     ExpiredContract,
@@ -404,6 +405,12 @@ class TestVolatilitySmile:
         assert points[1].error is not None
         assert "EmptyDomain" in points[1].error
         assert math.isnan(points[1].price)
+
+    def test_degenerate_market_aborts_the_sweep(self):
+        # A zero hedge edge holds at every strike, so no point is marked instead.
+        params = MarketParams(spot=100.0, drift=1e-300, volatility=0.2, risk_free=0.0)
+        with pytest.raises(DegenerateMarket, match="hedge edge"):
+            volatility_smile(params, [90.0, 100.0], 1.0)
 
     def test_empty_strikes_rejected(self, ref_params):
         with pytest.raises(ValueError, match="strikes"):

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulator and the normal-quadrature engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fairhedge import (
     std_normal_cdf,
     writer_loss,
 )
-from fairhedge.oracle import terminal_price
+from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
 REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core
 
@@ -123,6 +124,64 @@ class TestMcConditionalLoss:
         assert est.mean == pytest.approx(5.0)
         assert est.n_effective == 1
         assert math.isinf(est.std_error)
+
+
+class TestTerminalChunks:
+    def test_chunks_concatenate_to_the_sample(self, ref_params):
+        # The reused buffer is overwritten by the next chunk, so each chunk is copied.
+        cfg = McConfig(paths=10_001, seed=3, chunk_size=1000)
+        chunks = [chunk.copy() for chunk in terminal_chunks(ref_params, 1.0, cfg)]
+        assert [c.size for c in chunks] == [1000] * 10 + [1]
+        assert np.array_equal(np.concatenate(chunks), simulate_terminal(ref_params, 1.0, cfg))
+
+
+def parent_conditional_loss(values):
+    """The whole-array estimator: numpy mean and std(ddof=1) of the positive entries."""
+    positive = values[values > 0]
+    n = positive.size
+    std_error = float(positive.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return float(positive.mean()), std_error, n
+
+
+class TestRunningMoments:
+    SAMPLES = [
+        np.array([-1.0, 2.0, 4.0]),
+        np.array([-1.0, 5.0]),
+        np.random.default_rng(1).standard_normal(100_003),
+        np.random.default_rng(2).lognormal(0.0, 1.5, 65_537) - 3.0,
+    ]
+
+    @pytest.mark.parametrize("index", range(len(SAMPLES)))
+    def test_one_block_has_the_bits_of_the_whole_array_estimator(self, index):
+        values = self.SAMPLES[index]
+        moments = RunningMoments()
+        moments.add(values[values > 0])
+        est = moments.estimate()
+        assert (est.mean, est.std_error, est.n_effective) == parent_conditional_loss(values)
+        assert mc_conditional_loss(values) == est
+
+    def test_merged_blocks_match_numpy(self):
+        values = np.random.default_rng(3).lognormal(1.0, 0.8, 100_003)
+        moments = RunningMoments()
+        # Uneven blocks, with empty ones among them.
+        for start, stop in [(0, 0), (0, 1), (1, 32_769), (32_769, 32_769), (32_769, 100_003)]:
+            moments.add(values[start:stop])
+        assert moments.count == values.size
+        assert moments.mean == pytest.approx(np.mean(values), rel=1e-13, abs=0)
+        variance = moments.m2 / (moments.count - 1)
+        assert math.sqrt(variance) == pytest.approx(np.std(values, ddof=1), rel=1e-13, abs=0)
+
+    def test_empty_blocks_are_no_ops(self):
+        values = np.array([0.5, 1.5, 4.0])
+        plain, padded = RunningMoments(), RunningMoments()
+        plain.add(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            padded.add(np.empty(0))
+            assert (padded.count, padded.mean, padded.m2) == (0, 0.0, 0.0)
+            padded.add(values)
+            padded.add(np.empty(0))
+        assert (padded.count, padded.mean, padded.m2) == (plain.count, plain.mean, plain.m2)
 
 
 class TestQuadExpectation:
