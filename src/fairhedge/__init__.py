@@ -52,7 +52,6 @@ from .errors import (
 from .oracle import (
     McConfig,
     McEstimate,
-    QuadConfig,
     mc_conditional_loss,
     quad_expectation,
     simulate_terminal,
@@ -72,7 +71,7 @@ __all__ = [
     "writer_risk", "minimize_writer_risk", "volatility_smile",
     "revalue_at_time", "writer_loss", "holder_loss",
     # oracles
-    "McConfig", "McEstimate", "QuadConfig",
+    "McConfig", "McEstimate",
     "simulate_terminal", "mc_conditional_loss", "quad_expectation",
     # errors
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",

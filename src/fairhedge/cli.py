@@ -25,7 +25,7 @@ from .core import (
     expected_call_payoff_physical,
     std_normal_cdf,
 )
-from .errors import PricingError
+from .errors import DegenerateMarket, PricingError
 from .oracle import McConfig
 from .validation import run_all_checks
 
@@ -313,6 +313,8 @@ def cmd_risk_curve(cfg: RunConfig) -> int:
                 "d1": th.d1, "d": th.d, "d2": th.d2, "d_prime": th.d_prime,
                 "error": None,
             })
+        except DegenerateMarket:
+            raise
         except PricingError as exc:
             rows.append({"x": x, "error": f"{type(exc).__name__}: {exc}"})
     _emit(cfg, _render(rows, header, cfg.format, json_extra=["error"]))

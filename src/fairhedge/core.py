@@ -84,31 +84,21 @@ class OptionContract:
             raise ValueError(f"expiry must be positive, got {self.expiry}")
 
 
-@dataclass(frozen=True)
 class NumericConfig:
-    """Tolerances and search settings for the numeric routines.
+    """The fixed tolerances and search settings of the numeric routines.
+
+    A read-only record: it takes no arguments and its instances hold no state.
 
     Attributes:
         vol_bracket: Volatility interval searched by the implied-vol solver.
-        root_tol: Absolute price tolerance for the implied-vol root.
         minimizer_grid: Step of the coarse scan bracketing the risk minimum.
         minimizer_tol: Width tolerance of the golden-section refinement.
     """
 
-    vol_bracket: tuple[float, float] = (1e-4, 5.0)
-    root_tol: float = 1e-10
-    minimizer_grid: float = 1e-3
-    minimizer_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        lo, hi = self.vol_bracket
-        if not lo > 0:
-            raise ValueError(f"vol_bracket lower bound must be positive, got {lo}")
-        if not hi > lo:
-            raise ValueError(f"vol_bracket must be increasing, got {self.vol_bracket}")
-        for name in ("root_tol", "minimizer_grid", "minimizer_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    __slots__ = ()
+    vol_bracket = (1e-4, 5.0)
+    minimizer_grid = 1e-3
+    minimizer_tol = 1e-6
 
 
 def std_normal_cdf(z: float) -> float:
@@ -141,6 +131,14 @@ def rate_factors(params: MarketParams, expiry: float) -> tuple[float, float, flo
     return growth, compounding, discount
 
 
+def _sig_sqrt_t(sigma: float, expiry: float) -> float:
+    """sigma sqrt(T); DegenerateMarket if it underflows to zero, as no d+- exists then."""
+    sig_sqrt_t = sigma * math.sqrt(expiry)
+    if sig_sqrt_t == 0.0:
+        raise DegenerateMarket(f"sigma*sqrt(T) underflows to zero: sigma = {sigma}, T = {expiry}")
+    return sig_sqrt_t
+
+
 def d_plus_minus(
     params: MarketParams, contract: OptionContract, growth: float
 ) -> tuple[float, float]:
@@ -161,7 +159,7 @@ def d_plus_minus(
         Tuple (d_plus, d_minus).
     """
     sig, t = params.volatility, contract.expiry
-    sig_sqrt_t = sig * math.sqrt(t)
+    sig_sqrt_t = _sig_sqrt_t(sig, t)
     d_plus = (
         math.log(params.spot / contract.strike) + growth * t + 0.5 * sig * sig * t
     ) / sig_sqrt_t
@@ -200,23 +198,17 @@ def expected_put_payoff_physical(params: MarketParams, contract: OptionContract)
     return contract.strike * std_normal_cdf(-d_minus) - params.spot * growth * std_normal_cdf(-d_plus)
 
 
-def implied_vol(
-    params: MarketParams,
-    contract: OptionContract,
-    observed_price: float,
-    cfg: NumericConfig | None = None,
-) -> float:
+def implied_vol(params: MarketParams, contract: OptionContract, observed_price: float) -> float:
     """Volatility at which the Black-Scholes price matches observed_price.
 
     The call price is strictly increasing in sigma, so plain bisection over
-    cfg.vol_bracket is guaranteed to converge once the root is bracketed.
+    NumericConfig.vol_bracket is guaranteed to converge once the root is bracketed.
 
     Args:
         params: Market environment (its volatility field is ignored).
         contract: Strike and expiry.
         observed_price: Price to invert; must lie strictly between the
             no-arbitrage bounds (S0 - K e^{-rT})^+ and S0.
-        cfg: Numeric settings; defaults to NumericConfig().
 
     Returns:
         The implied volatility.
@@ -224,10 +216,8 @@ def implied_vol(
     Raises:
         PriceOutOfBounds: If observed_price is outside the no-arbitrage
             bounds, so no implied volatility exists.
-        BracketExhausted: If the root lies outside cfg.vol_bracket.
+        BracketExhausted: If the root lies outside NumericConfig.vol_bracket.
     """
-    if cfg is None:
-        cfg = NumericConfig()
     discount = rate_factors(params, contract.expiry)[2]
     lower = max(params.spot - contract.strike * discount, 0.0)
     if not lower < observed_price < params.spot:
@@ -239,15 +229,14 @@ def implied_vol(
     def price_gap(sigma: float) -> float:
         return bs_call_price(replace(params, volatility=sigma), contract) - observed_price
 
-    lo, hi = cfg.vol_bracket
+    lo, hi = NumericConfig.vol_bracket
     if price_gap(lo) > 0 or price_gap(hi) < 0:
         raise BracketExhausted(
             f"implied vol for price {observed_price} lies outside "
-            f"the bracket {cfg.vol_bracket}"
+            f"the bracket {NumericConfig.vol_bracket}"
         )
-    # Bisect the sigma interval down to well below any useful tolerance;
-    # ~60 halvings of a width-5 bracket reach 1e-12 in sigma.
-    width_tol = min(1e-12, cfg.root_tol)
+    # Bisect the sigma interval down to 1e-12, well below any useful
+    # tolerance; ~60 halvings of a width-5 bracket get there.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gap = price_gap(mid)
@@ -257,6 +246,6 @@ def implied_vol(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= width_tol:
+        if hi - lo <= 1e-12:
             break
     return 0.5 * (lo + hi)

@@ -32,6 +32,7 @@ from .core import (
     MarketParams,
     NumericConfig,
     OptionContract,
+    _sig_sqrt_t,
     expected_call_payoff_physical,
     implied_vol,
     rate_factors,
@@ -164,7 +165,7 @@ class _RiskKernel:
         self.edge = s0 * carry
         self.x_max = self.discount * self.expected_payoff / edge_scale
         self.grown_spot = s0 * growth
-        self.sig_sqrt_t = sig * math.sqrt(t)
+        self.sig_sqrt_t = _sig_sqrt_t(sig, t)
         self.shift = 0.5 * sig * sig * t - mu * t
         self.d = (math.log(contract.strike / s0) + self.shift) / self.sig_sqrt_t
         self._holder_cdfs: tuple[float, float] | None = None
@@ -393,21 +394,18 @@ def _golden_section(objective, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def minimize_writer_risk(
-    params: MarketParams, contract: OptionContract, cfg: NumericConfig | None = None
-) -> EquilibriumQuote:
+def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> EquilibriumQuote:
     """Hedge fraction minimizing the writer's risk, and the premium it implies.
 
-    A coarse scan with step cfg.minimizer_grid brackets the minimum over the
-    valid domain {x in [0, 1 - 1e-6]: fair price > 0}; golden-section then
-    refines it to cfg.minimizer_tol. Scan ties break toward the smaller x.
+    A coarse scan with step NumericConfig.minimizer_grid brackets the minimum
+    over the valid domain {x in [0, 1 - 1e-6]: fair price > 0}; golden-section
+    then refines it to NumericConfig.minimizer_tol. Scan ties break toward
+    the smaller x.
 
     Raises:
         EmptyDomain: If the expected payoff is below the premium floor, 1e-8
             of spot; so is every contract whose unhedged premium is nonpositive.
     """
-    if cfg is None:
-        cfg = NumericConfig()
     kernel = _RiskKernel(params, contract)
     if kernel.below_premium_floor:
         raise EmptyDomain(
@@ -425,7 +423,7 @@ def minimize_writer_risk(
     # [0, x_max); cap the scan there and at the x < 1 endpoint.
     hi = min(MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - 1e-12))
 
-    step = cfg.minimizer_grid
+    step = NumericConfig.minimizer_grid
     grid = [i * step for i in range(int(hi / step) + 1)]
     if grid[-1] < hi:
         grid.append(hi)
@@ -434,7 +432,7 @@ def minimize_writer_risk(
 
     bracket_lo = grid[best - 1] if best > 0 else grid[0]
     bracket_hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
-    refined = _golden_section(risk_at, bracket_lo, bracket_hi, cfg.minimizer_tol)
+    refined = _golden_section(risk_at, bracket_lo, bracket_hi, NumericConfig.minimizer_tol)
 
     x_star, value = grid[best], values[best]
     refined_value = risk_at(refined)
@@ -444,12 +442,7 @@ def minimize_writer_risk(
     return EquilibriumQuote(x_star=x_star, price=report.fair_price, report=report)
 
 
-def volatility_smile(
-    params: MarketParams,
-    strikes: list[float],
-    expiry: float,
-    cfg: NumericConfig | None = None,
-) -> list[SmilePoint]:
+def volatility_smile(params: MarketParams, strikes: list[float], expiry: float) -> list[SmilePoint]:
     """Equilibrium price and implied volatility for each strike.
 
     Strikes are processed independently (safe to parallelize; results keep
@@ -466,8 +459,8 @@ def volatility_smile(
     for k in strikes:
         contract = OptionContract(strike=k, expiry=expiry)
         try:
-            quote = minimize_writer_risk(params, contract, cfg)
-            vol = implied_vol(params, contract, quote.price, cfg)
+            quote = minimize_writer_risk(params, contract)
+            vol = implied_vol(params, contract, quote.price)
             points.append(
                 SmilePoint(
                     strike=k,
@@ -499,11 +492,7 @@ def volatility_smile(
 
 
 def revalue_at_time(
-    params: MarketParams,
-    contract: OptionContract,
-    t: float,
-    spot_at_t: float,
-    cfg: NumericConfig | None = None,
+    params: MarketParams, contract: OptionContract, t: float, spot_at_t: float
 ) -> EquilibriumQuote:
     """Re-quote at time t with the current spot and remaining life T - t.
 
@@ -521,7 +510,5 @@ def revalue_at_time(
     if not spot_at_t > 0:
         raise ValueError(f"spot_at_t must be positive, got {spot_at_t}")
     return minimize_writer_risk(
-        replace(params, spot=spot_at_t),
-        replace(contract, expiry=contract.expiry - t),
-        cfg,
+        replace(params, spot=spot_at_t), replace(contract, expiry=contract.expiry - t)
     )

@@ -24,7 +24,7 @@ class NonpositivePrice(PricingError):
 
 
 class DegenerateMarket(PricingError):
-    """Growth factors e^{mu T}, e^{rT}, e^{-rT} leave the float range, or the hedge edge is zero."""
+    """e^{mu T}, e^{rT} or e^{-rT} leaves the float range, or the hedge edge or sigma sqrt(T) is 0."""
 
 
 class DomainError(PricingError):

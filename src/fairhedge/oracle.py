@@ -24,7 +24,6 @@ from .errors import NoLossEvents
 __all__ = [
     "McConfig",
     "McEstimate",
-    "QuadConfig",
     "RunningMoments",
     "terminal_price",
     "terminal_chunks",
@@ -35,24 +34,25 @@ __all__ = [
 ]
 
 
+# Paths per chunk of a Monte Carlo sample.
+_CHUNK = 262_144
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation size, seed and chunking.
+    """Simulation size and seed.
 
-    Paths are generated chunk by chunk, each chunk from its own stream
-    derived from (seed, chunk index), so the sample is bit-identical for a
-    fixed (paths, seed, chunk_size) no matter how chunks are scheduled.
+    Paths are generated in chunks of _CHUNK = 262,144, each chunk from its
+    own stream derived from (seed, chunk index), so the sample is defined
+    bit for bit by (paths, seed), no matter how chunks are scheduled.
     """
 
     paths: int = 1_000_000
     seed: int = 12345
-    chunk_size: int = 262_144
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -64,21 +64,6 @@ class McEstimate:
     mean: float
     std_error: float
     n_effective: int
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Integration window and panel count for the normal-expectation rule."""
-
-    z_bounds: tuple[float, float] = (-10.0, 10.0)
-    panels: int = 2000
-
-    def __post_init__(self) -> None:
-        lo, hi = self.z_bounds
-        if not hi > lo:
-            raise ValueError(f"z_bounds must be increasing, got {self.z_bounds}")
-        if self.panels < 1:
-            raise ValueError(f"panels must be >= 1, got {self.panels}")
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -121,9 +106,9 @@ def terminal_chunks(
     if not expiry > 0:
         raise ValueError(f"expiry must be positive, got {expiry}")
     reuse = out is None
-    buffer = np.empty(min(cfg.chunk_size, cfg.paths)) if reuse else out
-    for i, start in enumerate(range(0, cfg.paths, cfg.chunk_size)):
-        n = min(cfg.chunk_size, cfg.paths - start)
+    buffer = np.empty(min(_CHUNK, cfg.paths)) if reuse else out
+    for i, start in enumerate(range(0, cfg.paths, _CHUNK)):
+        n = min(_CHUNK, cfg.paths - start)
         chunk = buffer[:n] if reuse else buffer[start : start + n]
         _chunk_rng(cfg.seed, i).standard_normal(out=chunk)
         yield terminal_price(params, expiry, chunk, out=chunk)
@@ -216,14 +201,15 @@ def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Integration window in z of the quadrature rule, and its panel count.
+_Z_WINDOW = (-10.0, 10.0)
+_PANELS = 2000
 
 
-def quad_rule(
-    cfg: QuadConfig | None = None, breakpoints: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray]:
+def quad_rule(breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule for E[f(Z)], Z ~ N(0,1).
 
-    The window cfg.z_bounds is cut at every finite breakpoint and each piece
+    The window _Z_WINDOW is cut at every finite breakpoint and each piece
     is covered by panels in proportion to its length (12 nodes per panel).
     Panels never straddle a breakpoint, so integrands that are smooth
     between breakpoints (indicators times exponential-affine pieces)
@@ -232,20 +218,17 @@ def quad_rule(
     every integrand that shares the breakpoints.
 
     Args:
-        cfg: Window and panel count; defaults to QuadConfig().
         breakpoints: z locations of kinks or jumps; values outside the
             window are ignored.
 
     Returns:
         Tuple (z, weights) of equal-length arrays.
     """
-    if cfg is None:
-        cfg = QuadConfig()
-    lo, hi = cfg.z_bounds
+    lo, hi = _Z_WINDOW
     cuts = sorted({lo, hi, *(b for b in breakpoints if math.isfinite(b) and lo < b < hi)})
     edges: list[np.ndarray] = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, round(cfg.panels * (b - a) / (hi - lo)))
+        n = max(1, round(_PANELS * (b - a) / (hi - lo)))
         edges.append(np.linspace(a, b, n + 1))
     z_parts = []
     w_parts = []
@@ -263,14 +246,12 @@ def quad_rule(
 
 
 def quad_expectation(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    cfg: QuadConfig | None = None,
-    breakpoints: Sequence[float] = (),
+    integrand: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = ()
 ) -> float:
-    """E[f(Z)] for standard normal Z by the rule of quad_rule(cfg, breakpoints).
+    """E[f(Z)] for standard normal Z by the rule of quad_rule(breakpoints).
 
     The integrand is a vectorized callable mapping an array of z values to
-    integrand values; see quad_rule for cfg and breakpoints.
+    integrand values; see quad_rule for breakpoints.
     """
-    z, weights = quad_rule(cfg, breakpoints)
+    z, weights = quad_rule(breakpoints)
     return float(np.dot(weights, np.asarray(integrand(z), dtype=float)))

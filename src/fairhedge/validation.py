@@ -30,7 +30,6 @@ from .core import (
 from .errors import PricingError
 from .oracle import (
     McConfig,
-    QuadConfig,
     RunningMoments,
     quad_expectation,
     quad_rule,
@@ -115,14 +114,12 @@ def draw_suite(
         yield params, contract, x
 
 
-def check_implied_vol_round_trip(
-    params: MarketParams, contract: OptionContract, cfg: NumericConfig
-) -> CheckResult:
+def check_implied_vol_round_trip(params: MarketParams, contract: OptionContract) -> CheckResult:
     worst = 0.0
     for sigma in (0.05, 0.1, 0.2, 0.4, 1.0):
         trial = replace(params, volatility=sigma)
         try:
-            recovered = implied_vol(trial, contract, bs_call_price(trial, contract), cfg)
+            recovered = implied_vol(trial, contract, bs_call_price(trial, contract))
         except PricingError as exc:
             # A deep in-the-money trial can price exactly at its intrinsic
             # bound, where no implied vol exists: the round trip fails.
@@ -134,9 +131,7 @@ def check_implied_vol_round_trip(
     )
 
 
-def check_price_vs_quadrature(
-    params: MarketParams, contract: OptionContract, quad_cfg: QuadConfig
-) -> CheckResult:
+def check_price_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
     t = contract.expiry
 
     def payoff_at(growth: float):
@@ -151,9 +146,9 @@ def check_price_vs_quadrature(
     kink_q = -d_plus_minus(params, contract, params.risk_free)[1]
     kink_p = -d_plus_minus(params, contract, params.drift)[1]
     bs_quad = rate_factors(params, t)[2] * quad_expectation(
-        payoff_at(params.risk_free), quad_cfg, breakpoints=[kink_q]
+        payoff_at(params.risk_free), breakpoints=[kink_q]
     )
-    epc_quad = quad_expectation(payoff_at(params.drift), quad_cfg, breakpoints=[kink_p])
+    epc_quad = quad_expectation(payoff_at(params.drift), breakpoints=[kink_p])
     err = max(
         rel_err(bs_call_price(params, contract), bs_quad),
         rel_err(expected_call_payoff_physical(params, contract), epc_quad),
@@ -188,9 +183,9 @@ def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> 
     )
 
 
-def check_threshold_ordering(n_draws: int, seed: int) -> CheckResult:
-    violations = 0
-    for params, contract, x in draw_suite(n_draws, seed):
+def check_threshold_ordering() -> CheckResult:
+    violations, n_draws = 0, 200
+    for params, contract, x in draw_suite(n_draws, seed=2024):
         kernel = eq._RiskKernel(params, contract)
         th = kernel.thresholds(x, kernel.fair_price(x))
         if math.isfinite(th.d1) and not th.d1 < th.d:
@@ -204,9 +199,9 @@ def check_threshold_ordering(n_draws: int, seed: int) -> CheckResult:
     )
 
 
-def check_threshold_arg_monotonicity(n_draws: int, seed: int) -> CheckResult:
-    violations = 0
-    for params, contract, _ in draw_suite(n_draws, seed):
+def check_threshold_arg_monotonicity() -> CheckResult:
+    violations, n_draws = 0, 50
+    for params, contract, _ in draw_suite(n_draws, seed=2025):
         upper = min(0.99, valid_hedge_upper_bound(params, contract) * 0.99)
         if upper <= 0.02:
             continue
@@ -227,11 +222,7 @@ def check_threshold_arg_monotonicity(n_draws: int, seed: int) -> CheckResult:
 
 
 def quadrature_risk(
-    params: MarketParams,
-    contract: OptionContract,
-    x: float,
-    price: float,
-    quad_cfg: QuadConfig,
+    params: MarketParams, contract: OptionContract, x: float, price: float
 ) -> tuple[float, float, float]:
     """Loss probability, writer risk and holder risk from quadrature alone.
 
@@ -240,7 +231,7 @@ def quadrature_risk(
     """
     th = eq.risk_thresholds(params, contract, x, price)
     # One rule and one S(T) array serve all four integrands.
-    z, weights = quad_rule(quad_cfg, [th.d1, th.d, th.d2, th.d_prime])
+    z, weights = quad_rule([th.d1, th.d, th.d2, th.d_prime])
     terminal = terminal_price(params, contract.expiry, z)
     w_loss = eq.writer_loss(params, contract, x, price, terminal)
     h_loss = eq.holder_loss(params, contract, price, terminal)
@@ -255,9 +246,7 @@ def quadrature_risk(
     return prob, w_cond, h_cond
 
 
-def check_risks_vs_quadrature(
-    params: MarketParams, contract: OptionContract, quad_cfg: QuadConfig
-) -> CheckResult:
+def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
     upper = valid_hedge_upper_bound(params, contract)
     worst = 0.0
     tested = 0
@@ -268,7 +257,7 @@ def check_risks_vs_quadrature(
             report = eq.writer_risk(params, contract, x)
         except PricingError:
             continue
-        prob_q, gw_q, gh_q = quadrature_risk(params, contract, x, report.fair_price, quad_cfg)
+        prob_q, gw_q, gh_q = quadrature_risk(params, contract, x, report.fair_price)
         worst = max(
             worst,
             rel_err(report.loss_prob, prob_q),
@@ -349,15 +338,13 @@ def check_mc_agreement(
 
 
 def check_quote_grid_consistency(
-    params: MarketParams,
-    contract: OptionContract,
-    numeric_cfg: NumericConfig,
-    quote: eq.EquilibriumQuote,
+    params: MarketParams, contract: OptionContract, quote: eq.EquilibriumQuote
 ) -> CheckResult:
     upper = valid_hedge_upper_bound(params, contract)
     best = quote.report.writer_risk
     worst_drop = 0.0
-    for x in (quote.x_star - numeric_cfg.minimizer_grid, quote.x_star + numeric_cfg.minimizer_grid):
+    step = NumericConfig.minimizer_grid
+    for x in (quote.x_star - step, quote.x_star + step):
         if 0.0 <= x <= upper:
             worst_drop = max(
                 worst_drop, best - eq.writer_risk(params, contract, x).writer_risk
@@ -370,33 +357,24 @@ def check_quote_grid_consistency(
 
 
 def run_all_checks(
-    params: MarketParams,
-    contract: OptionContract,
-    numeric_cfg: NumericConfig | None = None,
-    mc_cfg: McConfig | None = None,
-    quad_cfg: QuadConfig | None = None,
-    ordering_draws: int = 200,
-    monotonicity_draws: int = 50,
-    seed: int = 2024,
+    params: MarketParams, contract: OptionContract, mc_cfg: McConfig | None = None
 ) -> list[CheckResult]:
     """Run the full oracle-equivalence and property suite.
 
     The checks run in order and the first exception propagates; the quote
     is computed once, where the Monte Carlo check first needs it.
     """
-    numeric_cfg = numeric_cfg or NumericConfig()
     mc_cfg = mc_cfg or McConfig()
-    quad_cfg = quad_cfg or QuadConfig()
     results = [
-        check_implied_vol_round_trip(params, contract, numeric_cfg),
-        check_price_vs_quadrature(params, contract, quad_cfg),
+        check_implied_vol_round_trip(params, contract),
+        check_price_vs_quadrature(params, contract),
         check_physical_parity(params, contract),
         check_fair_play_identity(params, contract),
-        check_threshold_ordering(ordering_draws, seed),
-        check_threshold_arg_monotonicity(monotonicity_draws, seed + 1),
-        check_risks_vs_quadrature(params, contract, quad_cfg),
+        check_threshold_ordering(),
+        check_threshold_arg_monotonicity(),
+        check_risks_vs_quadrature(params, contract),
     ]
-    quote = eq.minimize_writer_risk(params, contract, numeric_cfg)
+    quote = eq.minimize_writer_risk(params, contract)
     results.append(check_mc_agreement(params, contract, mc_cfg, quote))
-    results.append(check_quote_grid_consistency(params, contract, numeric_cfg, quote))
+    results.append(check_quote_grid_consistency(params, contract, quote))
     return results

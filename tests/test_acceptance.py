@@ -14,7 +14,6 @@ from fairhedge import (
     MarketParams,
     McConfig,
     OptionContract,
-    QuadConfig,
     bs_call_price,
     d_plus_minus,
     expected_call_payoff_physical,
@@ -161,9 +160,7 @@ def test_criterion_08_risks_vs_oracles():
     worst = 0.0
     for params, contract, x in draw_suite(1000, seed=2026, threshold_window=7.0):
         rep = writer_risk(params, contract, x)
-        prob_q, gamma_w_q, gamma_h_q = quadrature_risk(
-            params, contract, x, rep.fair_price, QuadConfig()
-        )
+        prob_q, gamma_w_q, gamma_h_q = quadrature_risk(params, contract, x, rep.fair_price)
         worst = max(
             worst,
             rel_err(rep.loss_prob, prob_q),

@@ -118,28 +118,32 @@ class TestQuoteCommand:
 
 
 class TestDegenerateMarkets:
-    # Growth factors that overflow, or a hedge edge e^(mu T) - e^(r T) that
-    # rounds to zero, are domain errors (exit 3) on every command they reach.
+    # Growth factors that overflow, a sigma sqrt(T) that underflows to zero,
+    # or a hedge edge e^(mu T) - e^(r T) that rounds to zero, are domain
+    # errors (exit 3) on every command they reach. Each market comes with
+    # the start of its DegenerateMarket message; a later --sigma wins.
     OVERFLOW = [
-        ["--mu", "800", "--r", "0.05", "--t", "1"],
-        ["--mu", "0.1", "--r", "0.05", "--t", "20000"],
-        ["--mu", "0.1", "--r", "-800", "--t", "1"],
+        (["--mu", "800", "--r", "0.05", "--t", "1"], "growth factors"),
+        (["--mu", "0.1", "--r", "0.05", "--t", "20000"], "growth factors"),
+        (["--mu", "0.1", "--r", "-800", "--t", "1"], "growth factors"),
+        (["--mu", "0.1", "--sigma", "5e-324", "--r", "0.05", "--t", "0.1"],
+         "sigma*sqrt(T) underflows to zero"),
     ]
     ZERO_EDGE = [
         ["--mu", "0.1", "--r", "0.05", "--t", "1e-300"],
         ["--mu", "1e-300", "--r", "0", "--t", "1"],
     ]
 
-    @pytest.mark.parametrize("command", ["price", "quote", "smile"])
-    @pytest.mark.parametrize("market", OVERFLOW, ids=["mu", "t", "r"])
-    def test_overflowing_growth_factor_exits_3(self, command, market):
+    @pytest.mark.parametrize("command", ["price", "quote", "risk-curve", "smile"])
+    @pytest.mark.parametrize("market, message", OVERFLOW, ids=["mu", "t", "r", "sigma"])
+    def test_overflowing_growth_factor_exits_3(self, command, market, message):
         result = run_cli(command, "--s0", "100", "--sigma", "0.2", *market, "--strike", "100")
         assert result.returncode == 3, result.stderr
         assert result.stdout == ""
-        assert result.stderr.startswith("domain error: DegenerateMarket: growth factors")
+        assert result.stderr.startswith(f"domain error: DegenerateMarket: {message}")
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("command", ["quote", "smile"])
+    @pytest.mark.parametrize("command", ["quote", "risk-curve", "smile"])
     @pytest.mark.parametrize("market", ZERO_EDGE, ids=["t", "mu"])
     def test_hedge_edge_rounding_to_zero_exits_3(self, command, market):
         result = run_cli(command, "--s0", "100", "--sigma", "0.2", *market, "--strike", "100")

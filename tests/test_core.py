@@ -73,11 +73,14 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="expiry"):
             OptionContract(strike=100.0, expiry=0.0)
 
-    def test_rejects_bad_numeric_config(self):
-        with pytest.raises(ValueError, match="vol_bracket"):
-            NumericConfig(vol_bracket=(0.0, 5.0))
-        with pytest.raises(ValueError, match="root_tol"):
-            NumericConfig(root_tol=0.0)
+    def test_numeric_config_is_a_fixed_record(self):
+        cfg = NumericConfig()
+        assert (cfg.vol_bracket, cfg.minimizer_grid, cfg.minimizer_tol) == ((1e-4, 5.0), 1e-3, 1e-6)
+        with pytest.raises(TypeError):
+            NumericConfig(minimizer_grid=1e-4)
+        with pytest.raises(AttributeError):
+            cfg.minimizer_grid = 1e-4
+        assert not hasattr(cfg, "root_tol")
 
 
 class TestStdNormalCdf:
@@ -288,11 +291,15 @@ class TestImpliedVol:
         with pytest.raises(PriceOutOfBounds):
             implied_vol(ref_params, ref_contract, 0.0)
 
-    def test_bracket_exhausted(self, ref_params, ref_contract):
-        price = bs_call_price(ref_params, ref_contract)  # sigma = 0.20
-        cfg = NumericConfig(vol_bracket=(0.3, 0.5))
-        with pytest.raises(BracketExhausted):
-            implied_vol(ref_params, ref_contract, price, cfg)
+    def test_bracket_exhausted(self, ref_params):
+        # Vols above and below the bracket (1e-4, 5): sigma = 6 at the money,
+        # and sigma = 5e-5 at the forward strike, whose price stays well
+        # above its no-arbitrage floor, so neither is PriceOutOfBounds.
+        for sigma, strike in ((6.0, 100.0), (5e-5, 100.0 * math.exp(0.05))):
+            contract = OptionContract(strike=strike, expiry=1.0)
+            price = bs_call_price(replace(ref_params, volatility=sigma), contract)
+            with pytest.raises(BracketExhausted):
+                implied_vol(ref_params, contract, price)
 
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2, 0.4, 1.0])
     def test_round_trip_within_1e6(self, ref_params, ref_contract, sigma):
@@ -307,7 +314,6 @@ class TestImpliedVol:
             assert implied_vol(ref_params, contract, price) == pytest.approx(0.20, abs=1e-6)
 
     def test_solved_price_matches_within_root_tol(self, ref_params, ref_contract):
-        cfg = NumericConfig()
-        vol = implied_vol(ref_params, ref_contract, 12.10, cfg)
+        vol = implied_vol(ref_params, ref_contract, 12.10)
         reproduced = bs_call_price(replace(ref_params, volatility=vol), ref_contract)
-        assert abs(reproduced - 12.10) <= max(cfg.root_tol, 1e-9)
+        assert abs(reproduced - 12.10) <= 1e-9

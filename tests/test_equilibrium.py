@@ -19,9 +19,7 @@ from fairhedge import (
     MarketParams,
     McConfig,
     NonpositivePrice,
-    NumericConfig,
     OptionContract,
-    QuadConfig,
     expected_call_payoff_physical,
     expected_profits,
     fair_price,
@@ -264,16 +262,12 @@ class TestWriterRisk:
         report = writer_risk(ref_params, ref_contract, 0.7212)
         assert report.writer_risk == pytest.approx(GAMMA_W_AT_X_STAR, rel=1e-12)
         assert report.loss_prob == pytest.approx(LOSS_PROB_AT_X_STAR, rel=1e-12)
-        _, gamma_quad, _ = quadrature_risk(
-            ref_params, ref_contract, 0.7212, report.fair_price, QuadConfig()
-        )
+        _, gamma_quad, _ = quadrature_risk(ref_params, ref_contract, 0.7212, report.fair_price)
         assert report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_unhedged_value_against_quadrature(self, ref_params, ref_contract):
         report = writer_risk(ref_params, ref_contract, 0.0)
-        prob_quad, gamma_quad, _ = quadrature_risk(
-            ref_params, ref_contract, 0.0, report.fair_price, QuadConfig()
-        )
+        prob_quad, gamma_quad, _ = quadrature_risk(ref_params, ref_contract, 0.0, report.fair_price)
         assert report.thresholds.d1 == -math.inf
         assert report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
         assert report.loss_prob == pytest.approx(prob_quad, rel=1e-8)
@@ -308,7 +302,7 @@ class TestHolderRisk:
         value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
         assert value == pytest.approx(GAMMA_H_AT_X_STAR, rel=1e-12)
         price = fair_price(ref_params, ref_contract, 0.7212)
-        _, _, gamma_quad = quadrature_risk(ref_params, ref_contract, 0.7212, price, QuadConfig())
+        _, _, gamma_quad = quadrature_risk(ref_params, ref_contract, 0.7212, price)
         assert value == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_capped_by_compounded_premium(self, ref_params, ref_contract):
@@ -322,7 +316,7 @@ class TestHolderRisk:
         contract = OptionContract(strike=1e-6, expiry=1.0)
         value = writer_risk(ref_params, contract, 0.3).holder_risk
         price = fair_price(ref_params, contract, 0.3)
-        _, _, gamma_quad = quadrature_risk(ref_params, contract, 0.3, price, QuadConfig())
+        _, _, gamma_quad = quadrature_risk(ref_params, contract, 0.3, price)
         assert value == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_against_monte_carlo(self, ref_params, ref_contract):
@@ -363,11 +357,6 @@ class TestMinimizeWriterRisk:
         contract = OptionContract(strike=100.0, expiry=1.0)
         with pytest.raises(EmptyDomain, match="below 1e-08 of spot"):
             minimize_writer_risk(params, contract)
-
-    def test_respects_minimizer_tolerance(self, ref_params, ref_contract):
-        coarse = minimize_writer_risk(ref_params, ref_contract, NumericConfig(minimizer_tol=1e-4))
-        fine = minimize_writer_risk(ref_params, ref_contract, NumericConfig(minimizer_tol=1e-8))
-        assert abs(coarse.x_star - fine.x_star) <= 2e-4
 
 
 class TestVolatilitySmile:
@@ -437,7 +426,7 @@ class TestRevalueAtTime:
         shifted_params = replace(ref_params, spot=110.0)
         shifted_contract = OptionContract(strike=100.0, expiry=0.5)
         prob_quad, gamma_quad, _ = quadrature_risk(
-            shifted_params, shifted_contract, quote.x_star, quote.price, QuadConfig()
+            shifted_params, shifted_contract, quote.x_star, quote.price
         )
         assert quote.report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
         assert quote.report.loss_prob == pytest.approx(prob_quad, rel=1e-8)
@@ -457,9 +446,7 @@ class TestSuiteProperties:
         worst = 0.0
         for params, contract, x in draw_suite(60, seed=23, threshold_window=7.0):
             report = writer_risk(params, contract, x)
-            prob_q, gamma_w_q, gamma_h_q = quadrature_risk(
-                params, contract, x, report.fair_price, QuadConfig()
-            )
+            prob_q, gamma_w_q, gamma_h_q = quadrature_risk(params, contract, x, report.fair_price)
             worst = max(
                 worst,
                 rel_err(report.loss_prob, prob_q),

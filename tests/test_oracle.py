@@ -10,7 +10,6 @@ from fairhedge import (
     MarketParams,
     McConfig,
     NoLossEvents,
-    QuadConfig,
     fair_price,
     holder_loss,
     mc_conditional_loss,
@@ -26,13 +25,13 @@ REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core
 
 class TestSimulateTerminal:
     def test_deterministic_for_fixed_config(self, ref_params):
-        cfg = McConfig(paths=50_000, seed=7, chunk_size=8192)
+        cfg = McConfig(paths=50_000, seed=7)
         first = simulate_terminal(ref_params, 1.0, cfg)
         second = simulate_terminal(ref_params, 1.0, cfg)
         assert np.array_equal(first, second)
 
     def test_path_count_and_positivity(self, ref_params):
-        sample = simulate_terminal(ref_params, 1.0, McConfig(paths=10_001, seed=3, chunk_size=1000))
+        sample = simulate_terminal(ref_params, 1.0, McConfig(paths=10_001, seed=3))
         assert sample.shape == (10_001,)
         assert np.all(sample > 0)
 
@@ -53,21 +52,21 @@ class TestSimulateTerminal:
         assert abs(payoff.mean() - REF_EXPECTED_CALL) <= 3.0 * se
 
     def test_chunk_layout_is_part_of_the_contract(self, ref_params):
-        # Identical (paths, seed, chunk_size) must agree; a different
-        # chunk size is a different stream and may not.
-        a = simulate_terminal(ref_params, 1.0, McConfig(paths=4096, seed=5, chunk_size=1024))
-        b = simulate_terminal(ref_params, 1.0, McConfig(paths=4096, seed=5, chunk_size=1024))
+        # Identical (paths, seed) must agree, over a chunk boundary too, and
+        # a full first chunk is the head of any longer sample.
+        a = simulate_terminal(ref_params, 1.0, McConfig(paths=262_145, seed=5))
+        b = simulate_terminal(ref_params, 1.0, McConfig(paths=262_145, seed=5))
         assert np.array_equal(a, b)
+        head = simulate_terminal(ref_params, 1.0, McConfig(paths=262_144, seed=5))
+        assert np.array_equal(a[:262_144], head)
 
-    @pytest.mark.parametrize("chunk_size", [8192, 1_000_000])
-    def test_sample_and_losses_equal_the_plain_expressions(
-        self, ref_params, ref_contract, chunk_size
-    ):
+    @pytest.mark.parametrize("paths", [100_003, 2 * 262_144 + 3])
+    def test_sample_and_losses_equal_the_plain_expressions(self, ref_params, ref_contract, paths):
         # Pins the in-place evaluation to the bits of the plain expressions
         # S0 exp(loc + scale z) per chunk stream, (S-K)^+ - x (S - S0 e^{rT}) - C e^{rT}
-        # and C e^{rT} - (S-K)^+, chunked (13 chunks, the last partial) and in one chunk.
-        paths, x, price = 100_003, 0.7212, 12.1
-        sizes = [min(chunk_size, paths - start) for start in range(0, paths, chunk_size)]
+        # and C e^{rT} - (S-K)^+, in one chunk and in 3 (the last partial).
+        x, price, chunk = 0.7212, 12.1, 262_144
+        sizes = [min(chunk, paths - start) for start in range(0, paths, chunk)]
         z = np.concatenate([
             np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(i,)))
             .standard_normal(n) for i, n in enumerate(sizes)
@@ -79,9 +78,7 @@ class TestSimulateTerminal:
         plain_writer = payoff - x * (plain - 100.0 * compounding) - price * compounding
         plain_holder = price * compounding - payoff
 
-        sample = simulate_terminal(
-            ref_params, 1.0, McConfig(paths=paths, seed=11, chunk_size=chunk_size)
-        )
+        sample = simulate_terminal(ref_params, 1.0, McConfig(paths=paths, seed=11))
         assert np.array_equal(sample, plain)
         assert np.array_equal(terminal_price(ref_params, 1.0, z), plain)
         assert np.array_equal(writer_loss(ref_params, ref_contract, x, price, sample), plain_writer)
@@ -129,9 +126,9 @@ class TestMcConditionalLoss:
 class TestTerminalChunks:
     def test_chunks_concatenate_to_the_sample(self, ref_params):
         # The reused buffer is overwritten by the next chunk, so each chunk is copied.
-        cfg = McConfig(paths=10_001, seed=3, chunk_size=1000)
+        cfg = McConfig(paths=2 * 262_144 + 3, seed=3)
         chunks = [chunk.copy() for chunk in terminal_chunks(ref_params, 1.0, cfg)]
-        assert [c.size for c in chunks] == [1000] * 10 + [1]
+        assert [c.size for c in chunks] == [262_144, 262_144, 3]
         assert np.array_equal(np.concatenate(chunks), simulate_terminal(ref_params, 1.0, cfg))
 
 
@@ -215,12 +212,6 @@ class TestQuadExpectation:
     def test_breakpoints_outside_window_ignored(self):
         value = quad_expectation(lambda z: np.ones_like(z), breakpoints=[-50.0, math.inf])
         assert value == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError, match="z_bounds"):
-            QuadConfig(z_bounds=(1.0, -1.0))
-        with pytest.raises(ValueError, match="panels"):
-            QuadConfig(panels=0)
 
     def test_moments_against_closed_forms(self):
         assert quad_expectation(lambda z: z) == pytest.approx(0.0, abs=1e-12)

@@ -1,0 +1,102 @@
+"""The public API is pinned, and every function the benchmark traces exists.
+
+perfbench finds its per-layer metrics by "layer.function" name and raises
+KeyError for a missing one, but only in a traced run. These tests read
+those names from its sources, without importing it, so renaming or removing
+a traced function fails here. The settings pins make any growth of the
+configurable surface show up as a diff.
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import fairhedge
+from fairhedge import core, equilibrium, oracle, validation
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED_NAME = re.compile(r"(core|equilibrium|oracle|validation)\.([A-Za-z_]\w*)")
+
+PUBLIC_API = {
+    "__version__",
+    "MarketParams", "OptionContract", "NumericConfig",
+    "std_normal_cdf", "d_plus_minus", "bs_call_price",
+    "expected_call_payoff_physical", "expected_put_payoff_physical", "implied_vol",
+    "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
+    "fair_price", "expected_profits", "risk_thresholds",
+    "writer_risk", "minimize_writer_risk", "volatility_smile",
+    "revalue_at_time", "writer_loss", "holder_loss",
+    "McConfig", "McEstimate",
+    "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+    "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
+    "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract",
+    "NoLossEvents",
+}
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """The (layer, function) pairs that run.py passes as string literals to its
+    span queries (metric names are dict keys, not arguments), and the names
+    in spans.VALIDATION_CHECKS."""
+    run_tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    names = {
+        match.groups()
+        for call in ast.walk(run_tree)
+        if isinstance(call, ast.Call)
+        for arg in call.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        for match in [TRACED_NAME.fullmatch(arg.value)]
+        if match
+    }
+    spans_tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    (checks,) = [
+        node.value
+        for node in spans_tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["VALIDATION_CHECKS"]
+    ]
+    return names | {("validation", name) for name in ast.literal_eval(checks)}
+
+
+def test_perfbench_traces_only_public_functions():
+    names = traced_names()
+    # 11 names in run.py's span queries and the 9 checks.
+    assert len(names) >= 20
+    assert ("core", "implied_vol") in names and ("validation", "check_mc_agreement") in names
+    for layer, name in sorted(names):
+        module = importlib.import_module(f"fairhedge.{layer}")
+        fn = getattr(module, name, None)
+        assert not name.startswith("_") and inspect.isfunction(fn), f"{layer}.{name}"
+        assert fn.__module__ == module.__name__, f"{layer}.{name}"
+
+
+def test_public_api_is_pinned():
+    assert len(fairhedge.__all__) == len(PUBLIC_API)
+    assert set(fairhedge.__all__) == PUBLIC_API
+    assert all(hasattr(fairhedge, name) for name in PUBLIC_API)
+
+
+def test_only_monte_carlo_size_and_seed_are_settable():
+    assert [field.name for field in dataclasses.fields(fairhedge.McConfig)] == ["paths", "seed"]
+    assert not hasattr(oracle, "QuadConfig")
+    signatures = {
+        core.implied_vol: ["params", "contract", "observed_price"],
+        equilibrium.minimize_writer_risk: ["params", "contract"],
+        equilibrium.volatility_smile: ["params", "strikes", "expiry"],
+        equilibrium.revalue_at_time: ["params", "contract", "t", "spot_at_t"],
+        oracle.quad_rule: ["breakpoints"],
+        oracle.quad_expectation: ["integrand", "breakpoints"],
+        validation.quadrature_risk: ["params", "contract", "x", "price"],
+        validation.check_implied_vol_round_trip: ["params", "contract"],
+        validation.check_price_vs_quadrature: ["params", "contract"],
+        validation.check_risks_vs_quadrature: ["params", "contract"],
+        validation.check_quote_grid_consistency: ["params", "contract", "quote"],
+        validation.check_threshold_ordering: [],
+        validation.check_threshold_arg_monotonicity: [],
+        validation.run_all_checks: ["params", "contract", "mc_cfg"],
+    }
+    for fn, parameters in signatures.items():
+        assert list(inspect.signature(fn).parameters) == parameters, fn.__name__

@@ -21,9 +21,7 @@ import fairhedge.validation as validation
 from fairhedge import (
     MarketParams,
     McConfig,
-    NumericConfig,
     OptionContract,
-    QuadConfig,
     expected_call_payoff_physical,
     quad_expectation,
     simulate_terminal,
@@ -38,7 +36,7 @@ from fairhedge.validation import (
 )
 
 
-def quadrature_risk_by_four_rules(params, contract, x, price, quad_cfg):
+def quadrature_risk_by_four_rules(params, contract, x, price):
     """quadrature_risk as four independent quad_expectation calls."""
     th = eq.risk_thresholds(params, contract, x, price)
 
@@ -50,19 +48,18 @@ def quadrature_risk_by_four_rules(params, contract, x, price, quad_cfg):
         return eq.holder_loss(params, contract, price, terminal_price(params, contract.expiry, z))
 
     cuts = [th.d1, th.d, th.d2, th.d_prime]
-    prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), quad_cfg, cuts)
-    w_cond = quad_expectation(lambda z: np.maximum(w_loss(z), 0.0), quad_cfg, cuts) / prob
-    h_prob = quad_expectation(lambda z: (h_loss(z) > 0).astype(float), quad_cfg, cuts)
-    h_cond = quad_expectation(lambda z: np.maximum(h_loss(z), 0.0), quad_cfg, cuts) / h_prob
+    prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), cuts)
+    w_cond = quad_expectation(lambda z: np.maximum(w_loss(z), 0.0), cuts) / prob
+    h_prob = quad_expectation(lambda z: (h_loss(z) > 0).astype(float), cuts)
+    h_cond = quad_expectation(lambda z: np.maximum(h_loss(z), 0.0), cuts) / h_prob
     return prob, w_cond, h_cond
 
 
 def test_quadrature_risk_equals_four_separate_rules():
-    cfg = QuadConfig()
     for params, contract, x in draw_suite(12, seed=31, threshold_window=8.0):
         price = eq.fair_price(params, contract, x)
-        shared = quadrature_risk(params, contract, x, price, cfg)
-        assert shared == quadrature_risk_by_four_rules(params, contract, x, price, cfg)
+        shared = quadrature_risk(params, contract, x, price)
+        assert shared == quadrature_risk_by_four_rules(params, contract, x, price)
 
 
 def test_run_all_checks_quotes_once(monkeypatch, ref_params, ref_contract):
@@ -74,10 +71,7 @@ def test_run_all_checks_quotes_once(monkeypatch, ref_params, ref_contract):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(eq, "minimize_writer_risk", counted)
-    results = run_all_checks(
-        ref_params, ref_contract, mc_cfg=McConfig(paths=20_000),
-        ordering_draws=5, monotonicity_draws=5,
-    )
+    results = run_all_checks(ref_params, ref_contract, mc_cfg=McConfig(paths=20_000))
     assert len(calls) == 1
     assert [r.name for r in results][-2:] == ["mc_agreement", "quote_grid_consistency"]
     assert all(r.passed for r in results)
@@ -138,9 +132,9 @@ def whole_array_mc_moments(params, contract, cfg, quote):
     return p_hat, estimates, all(gap <= band for gap, band in gaps)
 
 
-@pytest.mark.parametrize("chunk_size", [8192, 1_000_000])
+@pytest.mark.parametrize("paths", [100_003, 2 * 262_144 + 3])
 def test_streamed_mc_check_matches_whole_array_estimates(
-    monkeypatch, ref_params, ref_contract, chunk_size
+    monkeypatch, ref_params, ref_contract, paths
 ):
     moments = []
 
@@ -150,7 +144,7 @@ def test_streamed_mc_check_matches_whole_array_estimates(
             moments.append(self)
 
     monkeypatch.setattr(validation, "RunningMoments", Recorded)
-    cfg = McConfig(paths=100_003, seed=11, chunk_size=chunk_size)
+    cfg = McConfig(paths=paths, seed=11)
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     result = check_mc_agreement(ref_params, ref_contract, cfg, quote)
     p_hat, estimates, passed = whole_array_mc_moments(ref_params, ref_contract, cfg, quote)
@@ -188,15 +182,13 @@ BOUND_PRICED = (
 
 
 def test_trial_price_at_its_bound_fails_the_round_trip_check():
-    result = check_implied_vol_round_trip(*BOUND_PRICED, NumericConfig())
+    result = check_implied_vol_round_trip(*BOUND_PRICED)
     assert not result.passed
     assert result.detail.startswith("sigma 0.05: PriceOutOfBounds: price ")
 
 
 def test_suite_reports_every_check_when_a_round_trip_trial_has_no_vol():
-    results = run_all_checks(
-        *BOUND_PRICED, mc_cfg=McConfig(paths=20_000), ordering_draws=5, monotonicity_draws=5
-    )
+    results = run_all_checks(*BOUND_PRICED, mc_cfg=McConfig(paths=20_000))
     assert len(results) == 9
     failed = [r.name for r in results if not r.passed]
     assert failed == ["implied_vol_round_trip"]
