@@ -25,7 +25,7 @@ from .core import (
     expected_call_payoff_physical,
     std_normal_cdf,
 )
-from .errors import DegenerateMarket, PricingError
+from .errors import DegenerateMarket, NonpositivePrice, PricingError
 from .oracle import McConfig
 from .validation import run_all_checks
 
@@ -84,9 +84,9 @@ def parse_config(data: dict) -> RunConfig:
     def as_float(key: str, value) -> float:
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             number = math.nan
-        # A JSON true/false is not a number, and 1e400 parses as inf.
+        # A JSON true/false is not a number; 1e400 parses as inf, 10**400 overflows.
         if isinstance(value, bool) or not math.isfinite(number):
             raise ValueError(f"config key '{key}' must be a finite number, got {value!r}")
         return number
@@ -134,6 +134,10 @@ def parse_config(data: dict) -> RunConfig:
         raise ValueError(f"config key 'paths' must be >= 1, got {cfg.paths}")
     if not cfg.grid_step > 0:
         raise ValueError(f"config key 'grid_step' must be positive, got {cfg.grid_step}")
+    if not eq.MAX_HEDGE_FRACTION / cfg.grid_step < 1e6:  # risk-curve: at most 1e6 x points
+        raise ValueError(f"config key 'grid_step' gives over 1,000,000 x points, got {cfg.grid_step}")
+    if cfg.reval_spot is not None and cfg.reval_t is None:
+        raise ValueError("config key 'reval_spot' needs 'reval_t'")
     if cfg.out and (
         os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or os.curdir)
     ):
@@ -248,6 +252,8 @@ def cmd_price(cfg: RunConfig) -> int:
     params, contract = cfg.market(), cfg.single_contract()
     x = cfg.x if cfg.x is not None else std_normal_cdf(d_plus_minus(params, contract, params.risk_free)[0])
     price = bs_call_price(params, contract)
+    if not price > 0:
+        raise NonpositivePrice(f"Black-Scholes price is {price}; expected profits need a positive premium")
     holder, writer = eq.expected_profits(params, contract, x, price)
     row = {
         "strike": contract.strike,
@@ -262,14 +268,14 @@ def cmd_price(cfg: RunConfig) -> int:
     return 0
 
 
-def _quote_row(quote: eq.EquilibriumQuote) -> dict:
-    th = quote.report.thresholds
+def _report_row(report: eq.RiskReport, x_key: str) -> dict:
+    th = report.thresholds
     return {
-        "x_star": quote.x_star,
-        "price": quote.price,
-        "writer_risk": quote.report.writer_risk,
-        "holder_risk": quote.report.holder_risk,
-        "loss_prob": quote.report.loss_prob,
+        x_key: report.x,
+        "price": report.fair_price,
+        "writer_risk": report.writer_risk,
+        "holder_risk": report.holder_risk,
+        "loss_prob": report.loss_prob,
         "d1": th.d1,
         "d": th.d,
         "d2": th.d2,
@@ -279,12 +285,12 @@ def _quote_row(quote: eq.EquilibriumQuote) -> dict:
 
 def cmd_quote(cfg: RunConfig) -> int:
     params, contract = cfg.market(), cfg.single_contract()
-    if cfg.reval_t is not None and cfg.reval_t > 0:
-        spot = cfg.reval_spot if cfg.reval_spot is not None else cfg.s0
-        quote = eq.revalue_at_time(params, contract, cfg.reval_t, spot)
-    else:
+    if cfg.reval_t is None:
         quote = eq.minimize_writer_risk(params, contract)
-    row = _quote_row(quote)
+    else:
+        spot = cfg.s0 if cfg.reval_spot is None else cfg.reval_spot
+        quote = eq.revalue_at_time(params, contract, cfg.reval_t, spot)
+    row = _report_row(quote.report, "x_star")
     _emit(cfg, _render([row], list(row), cfg.format))
     return 0
 
@@ -304,15 +310,7 @@ def cmd_risk_curve(cfg: RunConfig) -> int:
     rows = []
     for x in grid:
         try:
-            report = eq.writer_risk(params, contract, x)
-            th = report.thresholds
-            rows.append({
-                "x": x, "price": report.fair_price,
-                "writer_risk": report.writer_risk, "holder_risk": report.holder_risk,
-                "loss_prob": report.loss_prob,
-                "d1": th.d1, "d": th.d, "d2": th.d2, "d_prime": th.d_prime,
-                "error": None,
-            })
+            rows.append(_report_row(eq.writer_risk(params, contract, x), "x"))
         except DegenerateMarket:
             raise
         except PricingError as exc:

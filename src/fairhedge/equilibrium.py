@@ -138,12 +138,12 @@ class _RiskKernel:
     """The closed forms of one (market, contract), with every x-free term computed once.
 
     The expected payoff, discount and compounding factors, the hedge edge,
-    the zero crossing x_max of the premium, the premium-floor test, the cut
-    point d and the x-free constants of d1, d2 and d' are fixed at
-    construction; the holder's N(d) terms are added on the first report.
-    Construction raises DegenerateMarket when a growth factor leaves the
-    float range (from rate_factors) or the hedge edge is zero in floating
-    point, so x_max would divide by zero.
+    the zero crossing x_max of the premium, the searchable hedge domain
+    [0, x_hi], the premium-floor test, the cut point d with the holder's
+    N(d) and N(d - sigma sqrt(T)), and the x-free constants of d1, d2 and
+    d' are fixed at construction. Construction raises DegenerateMarket
+    when a growth factor leaves the float range (from rate_factors) or the
+    hedge edge is zero in floating point, so x_max would divide by zero.
     The methods evaluate the formulas at any x in one fixed operation
     order, so the public wrappers and the minimizer's scan give identical
     bits for identical inputs.
@@ -164,11 +164,15 @@ class _RiskKernel:
         self.below_premium_floor = self.expected_payoff < _PREMIUM_FLOOR * s0
         self.edge = s0 * carry
         self.x_max = self.discount * self.expected_payoff / edge_scale
+        # The premium is affine decreasing in x, so it is positive on [0, x_max); the
+        # hedge domain of the minimizer and the checks stays a relative 1e-12 inside.
+        self.x_hi = min(MAX_HEDGE_FRACTION, self.x_max * (1.0 - 1e-12))
         self.grown_spot = s0 * growth
         self.sig_sqrt_t = _sig_sqrt_t(sig, t)
         self.shift = 0.5 * sig * sig * t - mu * t
         self.d = (math.log(contract.strike / s0) + self.shift) / self.sig_sqrt_t
-        self._holder_cdfs: tuple[float, float] | None = None
+        self.cdf_d = std_normal_cdf(self.d)
+        self.cdf_d_shifted = std_normal_cdf(self.d - self.sig_sqrt_t)
 
     def price(self, x):
         """Fair premium at x, a float or elementwise over an array; unchecked."""
@@ -216,13 +220,10 @@ class _RiskKernel:
             + x * self.spot * compounding
             - price * compounding
         )
-        if self._holder_cdfs is None:
-            self._holder_cdfs = (std_normal_cdf(self.d), std_normal_cdf(self.d - sig_sqrt_t))
-        cdf_d, cdf_d_shifted = self._holder_cdfs
         cdf_d_prime = std_normal_cdf(d_prime)
         in_band_payoff = grown_spot * (
-            std_normal_cdf(d_prime - sig_sqrt_t) - cdf_d_shifted
-        ) - strike * (cdf_d_prime - cdf_d)
+            std_normal_cdf(d_prime - sig_sqrt_t) - self.cdf_d_shifted
+        ) - strike * (cdf_d_prime - self.cdf_d)
         return RiskReport(
             x=x,
             fair_price=price,
@@ -398,9 +399,9 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
     """Hedge fraction minimizing the writer's risk, and the premium it implies.
 
     A coarse scan with step NumericConfig.minimizer_grid brackets the minimum
-    over the valid domain {x in [0, 1 - 1e-6]: fair price > 0}; golden-section
-    then refines it to NumericConfig.minimizer_tol. Scan ties break toward
-    the smaller x.
+    over the kernel's hedge domain [0, x_hi], where the fair price is
+    positive and x <= 1 - 1e-6; golden-section then refines it to
+    NumericConfig.minimizer_tol. Scan ties break toward the smaller x.
 
     Raises:
         EmptyDomain: If the expected payoff is below the premium floor, 1e-8
@@ -419,11 +420,7 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
         except PricingError:
             return math.inf
 
-    # The premium is affine decreasing in x, so positivity holds on
-    # [0, x_max); cap the scan there and at the x < 1 endpoint.
-    hi = min(MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - 1e-12))
-
-    step = NumericConfig.minimizer_grid
+    step, hi = NumericConfig.minimizer_grid, kernel.x_hi
     grid = [i * step for i in range(int(hi / step) + 1)]
     if grid[-1] < hi:
         grid.append(hi)

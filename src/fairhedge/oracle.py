@@ -73,14 +73,16 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def terminal_price(
-    params: MarketParams, expiry: float, z: np.ndarray, out: np.ndarray | None = None
+    params: MarketParams, expiry: float, z: np.ndarray, growth: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Map standard normal draws to terminal prices under the real-world drift.
+    """Map standard normal draws to terminal prices at a given growth rate.
 
-    The exact lognormal solution S(T) = S0 exp((mu - sigma^2/2) T + sigma sqrt(T) z),
-    vectorized. The result is written to out when given; out may be z itself.
+    The exact lognormal solution S(T) = S0 exp((g - sigma^2/2) T + sigma sqrt(T) z),
+    vectorized: growth g is params.drift for the real-world measure and
+    params.risk_free for the risk-neutral one. The result is written to out
+    when given; out may be z itself.
     """
-    loc = (params.drift - 0.5 * params.volatility**2) * expiry
+    loc = (growth - 0.5 * params.volatility**2) * expiry
     scale = params.volatility * math.sqrt(expiry)
     z = np.asarray(z, dtype=float)
     s = np.multiply(z, scale, out=np.empty_like(z) if out is None else out)
@@ -90,28 +92,20 @@ def terminal_price(
     return s
 
 
-def terminal_chunks(
-    params: MarketParams,
-    expiry: float,
-    cfg: McConfig,
-    out: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """Yield the terminal-price sample of cfg chunk by chunk, in chunk order.
+def terminal_chunks(params: MarketParams, expiry: float, cfg: McConfig) -> Iterator[np.ndarray]:
+    """Yield the real-world terminal-price sample of cfg chunk by chunk, in chunk order.
 
-    Each chunk's normal draws are written into a buffer and mapped to S(T)
-    there by terminal_price. With out (cfg.paths long) chunk i lands in its
-    own slice of out; without it every chunk reuses one chunk-sized buffer,
-    so a chunk is valid only until the next one is drawn.
+    Each chunk's normal draws are written into one reused chunk-sized
+    buffer and mapped to S(T) there by terminal_price, so a chunk is valid
+    only until the next one is drawn.
     """
     if not expiry > 0:
         raise ValueError(f"expiry must be positive, got {expiry}")
-    reuse = out is None
-    buffer = np.empty(min(_CHUNK, cfg.paths)) if reuse else out
+    buffer = np.empty(min(_CHUNK, cfg.paths))
     for i, start in enumerate(range(0, cfg.paths, _CHUNK)):
-        n = min(_CHUNK, cfg.paths - start)
-        chunk = buffer[:n] if reuse else buffer[start : start + n]
+        chunk = buffer[: min(_CHUNK, cfg.paths - start)]
         _chunk_rng(cfg.seed, i).standard_normal(out=chunk)
-        yield terminal_price(params, expiry, chunk, out=chunk)
+        yield terminal_price(params, expiry, chunk, params.drift, out=chunk)
 
 
 def simulate_terminal(
@@ -119,17 +113,15 @@ def simulate_terminal(
 ) -> np.ndarray:
     """Sample terminal stock prices S(T) under the real-world drift.
 
-    The chunks of terminal_chunks are written into the output, so no
-    chunk-sized temporaries are made.
+    Each chunk of terminal_chunks is copied into its slice of the output.
 
     Returns:
         Array of cfg.paths terminal prices, deterministic for a fixed config.
     """
-    if cfg is None:
-        cfg = McConfig()
+    cfg = cfg or McConfig()
     out = np.empty(cfg.paths)
-    for _ in terminal_chunks(params, expiry, cfg, out=out):
-        pass
+    for start, chunk in zip(range(0, cfg.paths, _CHUNK), terminal_chunks(params, expiry, cfg)):
+        out[start : start + chunk.size] = chunk
     return out
 
 

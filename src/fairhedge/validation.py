@@ -53,11 +53,6 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def valid_hedge_upper_bound(params: MarketParams, contract: OptionContract) -> float:
-    """Largest searchable x: below both the x < 1 endpoint and price positivity."""
-    return min(eq.MAX_HEDGE_FRACTION, eq.price_positive_x_max(params, contract) * (1.0 - 1e-9))
-
-
 def draw_suite(
     n: int, seed: int = 2024, threshold_window: float | None = None
 ) -> Iterator[tuple[MarketParams, OptionContract, float]]:
@@ -72,7 +67,8 @@ def draw_suite(
     expected payoff under 1e-8 of spot, which perturbs the strike below one
     ulp, so the strict threshold inequalities have no floating-point
     meaning) are redrawn, and x stays a relative 1e-3 inside the
-    premium-positivity boundary for the same reason.
+    premium-positivity boundary for the same reason (wider than the kernel's
+    1e-12 margin, since narrowing it would re-draw every seeded input).
     With threshold_window set, draws are further redrawn until every loss
     threshold lies within [-window, window], which makes the loss events
     resolvable by a quadrature oracle on a [-10, 10] z window.
@@ -134,24 +130,16 @@ def check_implied_vol_round_trip(params: MarketParams, contract: OptionContract)
 def check_price_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
     t = contract.expiry
 
-    def payoff_at(growth: float):
-        loc = (growth - 0.5 * params.volatility**2) * t
-        scale = params.volatility * math.sqrt(t)
+    def expected_payoff(growth: float) -> float:
+        return quad_expectation(
+            lambda z: np.maximum(terminal_price(params, t, z, growth) - contract.strike, 0.0),
+            breakpoints=[-d_plus_minus(params, contract, growth)[1]],
+        )
 
-        def payoff(z: np.ndarray) -> np.ndarray:
-            return np.maximum(params.spot * np.exp(loc + scale * z) - contract.strike, 0.0)
-
-        return payoff
-
-    kink_q = -d_plus_minus(params, contract, params.risk_free)[1]
-    kink_p = -d_plus_minus(params, contract, params.drift)[1]
-    bs_quad = rate_factors(params, t)[2] * quad_expectation(
-        payoff_at(params.risk_free), breakpoints=[kink_q]
-    )
-    epc_quad = quad_expectation(payoff_at(params.drift), breakpoints=[kink_p])
+    discount = rate_factors(params, t)[2]
     err = max(
-        rel_err(bs_call_price(params, contract), bs_quad),
-        rel_err(expected_call_payoff_physical(params, contract), epc_quad),
+        rel_err(bs_call_price(params, contract), discount * expected_payoff(params.risk_free)),
+        rel_err(expected_call_payoff_physical(params, contract), expected_payoff(params.drift)),
     )
     return CheckResult(
         "prices_vs_quadrature", err <= 1e-8, f"max rel err {err:.3e} (tol 1e-08)"
@@ -170,7 +158,7 @@ def check_physical_parity(params: MarketParams, contract: OptionContract) -> Che
 
 
 def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> CheckResult:
-    upper = valid_hedge_upper_bound(params, contract)
+    upper = eq._RiskKernel(params, contract).x_hi
     worst = 0.0
     for x in (0.0, 0.25, 0.5, 0.7212, 0.99):
         if x > upper:
@@ -202,7 +190,7 @@ def check_threshold_ordering() -> CheckResult:
 def check_threshold_arg_monotonicity() -> CheckResult:
     violations, n_draws = 0, 50
     for params, contract, _ in draw_suite(n_draws, seed=2025):
-        upper = min(0.99, valid_hedge_upper_bound(params, contract) * 0.99)
+        upper = min(0.99, eq._RiskKernel(params, contract).x_hi * 0.99)
         if upper <= 0.02:
             continue
         compounding = rate_factors(params, contract.expiry)[1]
@@ -232,7 +220,7 @@ def quadrature_risk(
     th = eq.risk_thresholds(params, contract, x, price)
     # One rule and one S(T) array serve all four integrands.
     z, weights = quad_rule([th.d1, th.d, th.d2, th.d_prime])
-    terminal = terminal_price(params, contract.expiry, z)
+    terminal = terminal_price(params, contract.expiry, z, params.drift)
     w_loss = eq.writer_loss(params, contract, x, price, terminal)
     h_loss = eq.holder_loss(params, contract, price, terminal)
 
@@ -247,7 +235,7 @@ def quadrature_risk(
 
 
 def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
-    upper = valid_hedge_upper_bound(params, contract)
+    upper = eq._RiskKernel(params, contract).x_hi
     worst = 0.0
     tested = 0
     for x in (0.0, 0.25, 0.5, 0.75):
@@ -340,7 +328,7 @@ def check_mc_agreement(
 def check_quote_grid_consistency(
     params: MarketParams, contract: OptionContract, quote: eq.EquilibriumQuote
 ) -> CheckResult:
-    upper = valid_hedge_upper_bound(params, contract)
+    upper = eq._RiskKernel(params, contract).x_hi
     best = quote.report.writer_risk
     worst_drop = 0.0
     step = NumericConfig.minimizer_grid

@@ -63,7 +63,9 @@ def test_criterion_03_physical_expected_call_vs_oracles():
     closed = expected_call_payoff_physical(PARAMS, CONTRACT)
     kink = -(d_plus_minus(PARAMS, CONTRACT, PARAMS.drift)[1])
     quad = quad_expectation(
-        lambda z: np.maximum(terminal_price(PARAMS, CONTRACT.expiry, z) - CONTRACT.strike, 0.0),
+        lambda z: np.maximum(
+            terminal_price(PARAMS, CONTRACT.expiry, z, PARAMS.drift) - CONTRACT.strike, 0.0
+        ),
         breakpoints=[kink],
     )
     quad_gap = rel_err(closed, quad)

@@ -72,6 +72,14 @@ class TestPriceCommand:
         _, rows = csv_rows(result.stdout)
         assert float(rows[0]["x"]) == 1.0
 
+    def test_price_underflowing_to_zero_exits_3(self):
+        # Every flag is well formed; a zero Black-Scholes premium is a domain condition.
+        result = run_cli("price", "--s0", "100", "--mu", "0.1", "--sigma", "0.2",
+                         "--r", "0.05", "--t", "0.1", "--strike", "1000000")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "domain error: NonpositivePrice: Black-Scholes price is 0.0" in result.stderr
+
 
 class TestQuoteCommand:
     def test_reference_quote(self):
@@ -89,6 +97,24 @@ class TestQuoteCommand:
         direct = run_cli("quote", *EX_ARGS[:-2], "--t", "0.5", "--strike", "100")
         assert revalued.returncode == 0
         assert revalued.stdout == direct.stdout
+
+    def test_revaluation_at_time_zero_uses_the_new_spot(self):
+        revalued = run_cli("quote", *EX_ARGS, "--strike", "100",
+                           "--reval-t", "0", "--reval-spot", "110")
+        direct = run_cli("quote", "--s0", "110", *EX_ARGS[2:], "--strike", "100")
+        assert revalued.returncode == 0
+        assert revalued.stdout == direct.stdout
+
+    def test_negative_revaluation_time_exits_2(self):
+        result = run_cli("quote", *EX_ARGS, "--strike", "100", "--reval-t", "-0.5")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "re-valuation time must be nonnegative, got -0.5" in result.stderr
+
+    def test_revaluation_spot_without_time_exits_2(self):
+        result = run_cli("quote", *EX_ARGS, "--strike", "100", "--reval-spot", "110")
+        assert result.returncode == 2
+        assert "config key 'reval_spot' needs 'reval_t'" in result.stderr
 
     def test_empty_domain_exits_3(self):
         result = run_cli("quote", "--s0", "100", "--mu", "0.10", "--sigma", "0.2",
@@ -286,6 +312,27 @@ class TestConfigHandling:
                          "--r", "0.05", "--t", "1", "--strike", "100")
         assert result.returncode == 2
         assert "config key 's0' must be a finite number, got inf" in result.stderr
+
+    def test_integer_beyond_float_range_exits_2_naming_key(self, tmp_path):
+        huge = "1" + "0" * 400
+        result = run_cli("quote", *EX_ARGS, "--strike", "100", "--paths", huge)
+        assert result.returncode == 2
+        assert f"config key 'paths' must be a finite number, got {huge}" in result.stderr
+        config = tmp_path / "run.json"
+        config.write_text('{"s0": %s, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0, '
+                          '"strikes": [100]}' % huge)
+        result = run_cli("quote", "--config", str(config))
+        assert result.returncode == 2
+        assert f"config key 's0' must be a finite number, got {huge}" in result.stderr
+
+    def test_grid_step_beyond_a_million_points_is_a_config_error(self):
+        # Checked on the parsed config only: the command would build the grid.
+        data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0, "strikes": [100.0]}
+        for step in (1e-300, 5e-324, 9.99999e-7):
+            with pytest.raises(ValueError, match="config key 'grid_step' gives over 1,000,000"):
+                parse_config({**data, "grid_step": step})
+        # 0.999999 / 1e-6 is 999999.0, so the grid has exactly 1,000,000 points.
+        assert parse_config({**data, "grid_step": 1e-6}).grid_step == 1e-6
 
     def test_boolean_number_exits_2(self, tmp_path):
         config = tmp_path / "run.json"

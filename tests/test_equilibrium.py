@@ -235,7 +235,7 @@ class TestWriterPartialExpectations:
         partial_call, partial_stock = report.partial_call, report.partial_stock
 
         def terminal(z):
-            return terminal_price(ref_params, 1.0, z)
+            return terminal_price(ref_params, 1.0, z, ref_params.drift)
 
         def in_loss_region(z):
             return (z <= th.d1) | (z > th.d2)

@@ -80,14 +80,18 @@ class TestSimulateTerminal:
 
         sample = simulate_terminal(ref_params, 1.0, McConfig(paths=paths, seed=11))
         assert np.array_equal(sample, plain)
-        assert np.array_equal(terminal_price(ref_params, 1.0, z), plain)
+        assert np.array_equal(terminal_price(ref_params, 1.0, z, 0.10), plain)
+        # At growth r the map is bit for bit the risk-neutral lognormal map
+        # S0 exp((r - sigma^2/2) T + sigma sqrt(T) z) of the price quadrature.
+        risk_neutral = 100.0 * np.exp((0.05 - 0.5 * 0.2**2) * 1.0 + 0.2 * math.sqrt(1.0) * z)
+        assert np.array_equal(terminal_price(ref_params, 1.0, z, 0.05), risk_neutral)
         assert np.array_equal(writer_loss(ref_params, ref_contract, x, price, sample), plain_writer)
         assert np.array_equal(holder_loss(ref_params, ref_contract, price, sample), plain_holder)
 
     def test_scalar_terminal_price_matches_the_array_map(self, ref_params):
         z = np.array([-1.5, 0.0, 0.3])
-        mapped = terminal_price(ref_params, 1.0, z)
-        assert [float(terminal_price(ref_params, 1.0, float(v))) for v in z] == mapped.tolist()
+        mapped = terminal_price(ref_params, 1.0, z, 0.10)
+        assert [float(terminal_price(ref_params, 1.0, float(v), 0.10)) for v in z] == mapped.tolist()
 
     def test_rejects_nonpositive_expiry(self, ref_params):
         with pytest.raises(ValueError, match="expiry"):

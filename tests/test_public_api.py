@@ -87,6 +87,8 @@ def test_only_monte_carlo_size_and_seed_are_settable():
         equilibrium.minimize_writer_risk: ["params", "contract"],
         equilibrium.volatility_smile: ["params", "strikes", "expiry"],
         equilibrium.revalue_at_time: ["params", "contract", "t", "spot_at_t"],
+        oracle.terminal_price: ["params", "expiry", "z", "growth", "out"],
+        oracle.terminal_chunks: ["params", "expiry", "cfg"],
         oracle.quad_rule: ["breakpoints"],
         oracle.quad_expectation: ["integrand", "breakpoints"],
         validation.quadrature_risk: ["params", "contract", "x", "price"],

@@ -41,11 +41,12 @@ def quadrature_risk_by_four_rules(params, contract, x, price):
     th = eq.risk_thresholds(params, contract, x, price)
 
     def w_loss(z):
-        terminal = terminal_price(params, contract.expiry, z)
+        terminal = terminal_price(params, contract.expiry, z, params.drift)
         return eq.writer_loss(params, contract, x, price, terminal)
 
     def h_loss(z):
-        return eq.holder_loss(params, contract, price, terminal_price(params, contract.expiry, z))
+        terminal = terminal_price(params, contract.expiry, z, params.drift)
+        return eq.holder_loss(params, contract, price, terminal)
 
     cuts = [th.d1, th.d, th.d2, th.d_prime]
     prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), cuts)
