@@ -2,8 +2,6 @@
 # exact-lognormal Monte Carlo and Gauss-Legendre quadrature against the
 # normal density. This reproduces those cross-checks by hand.
 
-import math
-
 import numpy as np
 
 from fairhedge import (
@@ -12,12 +10,23 @@ from fairhedge import (
     OptionContract,
     expected_call_payoff_physical,
     holder_loss,
-    mc_conditional_loss,
     minimize_writer_risk,
     quad_expectation,
-    simulate_terminal,
     writer_loss,
 )
+from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
+
+
+def streamed_estimates(params, contract, quote, mc):
+    """Writer risk, holder risk and E[(S-K)+] from one pass over the sample, chunk by chunk."""
+    writer, holder, payoff = RunningMoments(), RunningMoments(), RunningMoments()
+    for terminal in terminal_chunks(params, contract.expiry, mc):
+        losses = writer_loss(params, contract, quote.x_star, quote.price, terminal)
+        writer.add(losses[losses > 0])
+        losses = holder_loss(params, contract, quote.price, terminal)
+        holder.add(losses[losses > 0])
+        payoff.add(np.maximum(terminal - contract.strike, 0.0))
+    return writer.estimate(), holder.estimate(), payoff.estimate()
 
 
 def main():
@@ -26,12 +35,9 @@ def main():
     quote = minimize_writer_risk(params, contract)
     report = quote.report
 
-    # Quadrature: E[f(Z)] with the terminal price written as a function of Z.
-    sig_sqrt_t = params.volatility * math.sqrt(contract.expiry)
-    loc = (params.drift - 0.5 * params.volatility**2) * contract.expiry
-
+    # Quadrature: E[f(Z)] with the real-world terminal price written as a function of Z.
     def terminal(z):
-        return params.spot * np.exp(loc + sig_sqrt_t * z)
+        return terminal_price(params, contract.expiry, z, params.drift)
 
     expected_payoff_quad = quad_expectation(
         lambda z: np.maximum(terminal(z) - contract.strike, 0.0)
@@ -48,20 +54,17 @@ def main():
     print(f"P(loss)     closed {report.loss_prob:.10f}   quadrature {prob_quad:.10f}")
 
     # Monte Carlo: one million exact lognormal draws, chunked and seeded so
-    # the run is reproducible bit for bit.
+    # the run is reproducible bit for bit, streamed into running moments so
+    # no million-path array is kept.
     mc = McConfig(paths=1_000_000, seed=20240)
-    sample = simulate_terminal(params, contract.expiry, mc)
-
-    w = mc_conditional_loss(writer_loss(params, contract, quote.x_star, quote.price, sample))
-    h = mc_conditional_loss(holder_loss(params, contract, quote.price, sample))
+    estimates = streamed_estimates(params, contract, quote, mc)
+    w, h, p = estimates
     print(f"writer risk closed {report.writer_risk:.6f}   MC {w.mean:.6f} +- {w.std_error:.6f}")
     print(f"holder risk closed {report.holder_risk:.6f}   MC {h.mean:.6f} +- {h.std_error:.6f}")
-    payoff = np.maximum(sample - contract.strike, 0.0)
-    print(f"E[(S-K)+]   closed {closed:.6f}   MC {payoff.mean():.6f} "
-          f"+- {payoff.std(ddof=1) / math.sqrt(len(payoff)):.6f}")
+    print(f"E[(S-K)+]   closed {closed:.6f}   MC {p.mean:.6f} +- {p.std_error:.6f}")
 
-    again = simulate_terminal(params, contract.expiry, mc)
-    print(f"simulation bit-identical on rerun: {np.array_equal(sample, again)}")
+    again = streamed_estimates(params, contract, quote, mc)
+    print(f"streamed estimates bit-identical on rerun: {again == estimates}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from .core import (
     bs_call_price,
     d_plus_minus,
     expected_call_payoff_physical,
-    expected_put_payoff_physical,
     implied_vol,
     std_normal_cdf,
 )
@@ -32,7 +31,6 @@ from .equilibrium import (
     holder_loss,
     minimize_writer_risk,
     revalue_at_time,
-    risk_thresholds,
     volatility_smile,
     writer_loss,
     writer_risk,
@@ -64,10 +62,10 @@ __all__ = [
     # core analytics
     "MarketParams", "OptionContract", "NumericConfig",
     "std_normal_cdf", "d_plus_minus", "bs_call_price",
-    "expected_call_payoff_physical", "expected_put_payoff_physical", "implied_vol",
+    "expected_call_payoff_physical", "implied_vol",
     # equilibrium pricing and risk
     "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
-    "fair_price", "expected_profits", "risk_thresholds",
+    "fair_price", "expected_profits",
     "writer_risk", "minimize_writer_risk", "volatility_smile",
     "revalue_at_time", "writer_loss", "holder_loss",
     # oracles

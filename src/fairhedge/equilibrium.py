@@ -117,15 +117,15 @@ class EquilibriumQuote:
 
 @dataclass(frozen=True)
 class SmilePoint:
-    """One strike of a smile sweep; error is set when the point is unresolvable."""
+    """One strike of a smile sweep; an unresolvable point keeps the nan defaults and sets error."""
 
     strike: float
-    price: float
-    x_star: float
-    implied_vol: float
-    writer_risk: float
-    holder_risk: float
-    loss_prob: float
+    price: float = math.nan
+    x_star: float = math.nan
+    implied_vol: float = math.nan
+    writer_risk: float = math.nan
+    holder_risk: float = math.nan
+    loss_prob: float = math.nan
     error: str | None = None
 
 
@@ -472,19 +472,7 @@ def volatility_smile(params: MarketParams, strikes: list[float], expiry: float) 
         except DegenerateMarket:
             raise
         except PricingError as exc:
-            nan = math.nan
-            points.append(
-                SmilePoint(
-                    strike=k,
-                    price=nan,
-                    x_star=nan,
-                    implied_vol=nan,
-                    writer_risk=nan,
-                    holder_risk=nan,
-                    loss_prob=nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            points.append(SmilePoint(strike=k, error=f"{type(exc).__name__}: {exc}"))
     return points
 
 

@@ -23,7 +23,6 @@ from fairhedge import (
     mc_conditional_loss,
     minimize_writer_risk,
     quad_expectation,
-    risk_thresholds,
     simulate_terminal,
     std_normal_cdf,
     volatility_smile,
@@ -31,7 +30,7 @@ from fairhedge import (
     writer_risk,
     holder_loss,
 )
-from fairhedge.equilibrium import price_positive_x_max
+from fairhedge.equilibrium import price_positive_x_max, risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 

@@ -4,6 +4,7 @@ Commands run in a subprocess so exit codes, stdout/stderr separation and
 output files are exercised exactly as a user sees them.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -199,6 +200,14 @@ class TestRiskCurveCommand:
         result = run_cli("risk-curve", *EX_ARGS, "--strike", "100", "--x", "0.9999999")
         assert result.returncode == 2
 
+    def test_grid_whose_last_point_rounds_past_the_cap_exits_0(self):
+        # 5 * 0.1999998 is 0.9999990000000001, one ulp above 0.999999; the
+        # command builds that grid itself, so it is not re-checked.
+        result = run_cli("risk-curve", *EX_ARGS, "--strike", "100", "--grid-step", "0.1999998")
+        assert result.returncode == 0, result.stderr
+        _, rows = csv_rows(result.stdout)
+        assert len(rows) == 6
+
     def test_error_rows_marked_not_fatal(self):
         # Far out of the money: large x makes the fair price nonpositive,
         # so late grid rows carry error markers instead of aborting.
@@ -325,6 +334,24 @@ class TestConfigHandling:
         assert result.returncode == 2
         assert f"config key 's0' must be a finite number, got {huge}" in result.stderr
 
+    @pytest.mark.parametrize("command, seed", [("quote", "-5"), ("price", str(2**64))])
+    def test_out_of_range_seed_exits_2_for_every_command(self, command, seed):
+        result = run_cli(command, *EX_ARGS, "--strike", "100", "--seed", seed)
+        assert result.returncode == 2
+        assert result.stderr == f"config error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
+    def test_paths_below_one_exits_2_naming_key(self):
+        result = run_cli("validate", *EX_ARGS, "--strike", "100", "--paths", "0")
+        assert result.returncode == 2
+        assert result.stderr == "config error: paths must be >= 1, got 0\n"
+
+    def test_paths_beyond_the_cap_is_a_config_error(self):
+        # Checked on the parsed config only: validate would stream the sample.
+        data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0, "strikes": [100.0]}
+        assert parse_config({**data, "paths": 10**9}).paths == 10**9
+        with pytest.raises(ValueError, match="config key 'paths' must be at most 1,000,000,000"):
+            parse_config({**data, "paths": 10**9 + 1})
+
     def test_grid_step_beyond_a_million_points_is_a_config_error(self):
         # Checked on the parsed config only: the command would build the grid.
         data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0, "strikes": [100.0]}
@@ -390,8 +417,8 @@ class TestConfigHandling:
                 "grid_step": 0.02, "format": "json", "out": None,
                 "reval_t": None, "reval_spot": None}
         cfg = parse_config(data)
-        assert parse_config(cfg.to_dict()) == cfg
-        assert cfg.to_dict() == parse_config(cfg.to_dict()).to_dict()
+        assert parse_config(dataclasses.asdict(cfg)) == cfg
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(parse_config(dataclasses.asdict(cfg)))
 
 
 class TestDeterminism:

@@ -22,12 +22,11 @@ from fairhedge import (
     bs_call_price,
     d_plus_minus,
     expected_call_payoff_physical,
-    expected_put_payoff_physical,
     implied_vol,
     quad_expectation,
     std_normal_cdf,
 )
-from fairhedge.core import rate_factors
+from fairhedge.core import expected_put_payoff_physical, rate_factors
 from fairhedge.validation import draw_suite
 
 # Quadrature-derived values for the reference scenario, frozen from the

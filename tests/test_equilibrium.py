@@ -28,14 +28,13 @@ from fairhedge import (
     mc_conditional_loss,
     minimize_writer_risk,
     quad_expectation,
-    risk_thresholds,
     revalue_at_time,
     simulate_terminal,
     volatility_smile,
     writer_loss,
     writer_risk,
 )
-from fairhedge.equilibrium import price_positive_x_max
+from fairhedge.equilibrium import price_positive_x_max, risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 
@@ -393,7 +392,9 @@ class TestVolatilitySmile:
         assert points[0].error is None
         assert points[1].error is not None
         assert "EmptyDomain" in points[1].error
-        assert math.isnan(points[1].price)
+        assert points[1].strike == 1e6
+        for name in ("price", "x_star", "implied_vol", "writer_risk", "holder_risk", "loss_prob"):
+            assert math.isnan(getattr(points[1], name)), name
 
     def test_degenerate_market_aborts_the_sweep(self):
         # A zero hedge edge holds at every strike, so no point is marked instead.

@@ -14,11 +14,11 @@ from fairhedge import (
     holder_loss,
     mc_conditional_loss,
     quad_expectation,
-    risk_thresholds,
     simulate_terminal,
     std_normal_cdf,
     writer_loss,
 )
+from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
 REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core

@@ -4,9 +4,11 @@ perfbench finds its per-layer metrics by "layer.function" name and raises
 KeyError for a missing one, but only in a traced run. These tests read
 those names from its sources, without importing it, so renaming or removing
 a traced function fails here. The settings pins make any growth of the
-configurable surface show up as a diff.
+configurable surface show up as a diff, and the CLI's flags are pinned to
+RunConfig's fields, whose Monte Carlo defaults are McConfig's.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -15,7 +17,7 @@ import re
 from pathlib import Path
 
 import fairhedge
-from fairhedge import core, equilibrium, oracle, validation
+from fairhedge import cli, core, equilibrium, oracle, validation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_NAME = re.compile(r"(core|equilibrium|oracle|validation)\.([A-Za-z_]\w*)")
@@ -24,9 +26,9 @@ PUBLIC_API = {
     "__version__",
     "MarketParams", "OptionContract", "NumericConfig",
     "std_normal_cdf", "d_plus_minus", "bs_call_price",
-    "expected_call_payoff_physical", "expected_put_payoff_physical", "implied_vol",
+    "expected_call_payoff_physical", "implied_vol",
     "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
-    "fair_price", "expected_profits", "risk_thresholds",
+    "fair_price", "expected_profits",
     "writer_risk", "minimize_writer_risk", "volatility_smile",
     "revalue_at_time", "writer_loss", "holder_loss",
     "McConfig", "McEstimate",
@@ -102,3 +104,21 @@ def test_only_monte_carlo_size_and_seed_are_settable():
     }
     for fn, parameters in signatures.items():
         assert list(inspect.signature(fn).parameters) == parameters, fn.__name__
+
+
+def test_cli_flags_are_the_run_config_fields():
+    # _merge_config reads one flag per RunConfig field; a field without a
+    # flag, or a flag without a field, would be ignored silently.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    keys = {field.name for field in dataclasses.fields(cli.RunConfig)}
+    for name, sub in commands.choices.items():
+        dests = {action.dest for action in sub._actions} - {"help"}
+        # --strike and --strikes both fill strikes; --config names the file.
+        assert dests == keys | {"strike", "config"}, name
+
+
+def test_cli_monte_carlo_defaults_are_mc_config_defaults():
+    run_defaults = {field.name: field.default for field in dataclasses.fields(cli.RunConfig)}
+    mc_defaults = {field.name: field.default for field in dataclasses.fields(oracle.McConfig)}
+    assert mc_defaults == {key: run_defaults[key] for key in ("paths", "seed")}
