@@ -181,11 +181,11 @@ def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
     Raises:
         NoLossEvents: If no entry is strictly positive.
     """
-    arr = np.asarray(loss_values, dtype=float)
+    arr = np.asarray(loss_values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("loss sample must be nonempty")
     moments = RunningMoments()
-    moments.add(arr[arr > 0])
+    moments.add(np.compress(arr > 0, arr))
     if moments.count == 0:
         raise NoLossEvents("no strictly positive losses in the sample")
     return moments.estimate()

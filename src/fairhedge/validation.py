@@ -293,9 +293,9 @@ def check_mc_agreement(
             payoffs = np.subtract(terminal, contract.strike)
             payoff.add(np.maximum(payoffs, 0.0, out=payoffs))
             losses = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
-            writer.add(losses[losses > 0])
+            writer.add(np.compress(losses > 0, losses))
             losses = eq.holder_loss(params, contract, quote.price, terminal)
-            holder.add(losses[losses > 0])
+            holder.add(np.compress(losses > 0, losses))
 
     if writer.count == 0 or holder.count == 0:
         return CheckResult(

@@ -126,6 +126,13 @@ class TestMcConditionalLoss:
         assert est.n_effective == 1
         assert math.isinf(est.std_error)
 
+    def test_two_dimensional_sample_is_read_flat(self):
+        values = np.random.default_rng(4).standard_normal((3, 1_001))
+        assert mc_conditional_loss(values) == mc_conditional_loss(values.ravel())
+        assert mc_conditional_loss([[-1.0, 2.0], [4.0, 0.0]]) == mc_conditional_loss(
+            [-1.0, 2.0, 4.0]
+        )
+
 
 class TestTerminalChunks:
     def test_chunks_concatenate_to_the_sample(self, ref_params):

@@ -3,8 +3,9 @@
 The suite shares one quote between its Monte Carlo and grid checks and one
 quadrature rule between the four loss integrands, and the Monte Carlo check
 streams its sample through running moments. These tests pin that the shared
-and streamed versions give the values of the step-by-step, whole-array
-ones, and that a sample too small for a finite Monte Carlo band, or a
+and streamed versions give the values of the step-by-step, whole-array ones
+(the streamed moments bit for bit those of a block-wise boolean-index
+pass), and that a sample too small for a finite Monte Carlo band, or a
 trial price with no implied vol, fails its check instead of raising or
 passing.
 """
@@ -26,7 +27,7 @@ from fairhedge import (
     quad_expectation,
     simulate_terminal,
 )
-from fairhedge.oracle import RunningMoments, terminal_price
+from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 from fairhedge.validation import (
     check_implied_vol_round_trip,
     check_mc_agreement,
@@ -133,6 +134,20 @@ def whole_array_mc_moments(params, contract, cfg, quote):
     return p_hat, estimates, all(gap <= band for gap, band in gaps)
 
 
+def blockwise_boolean_index_moments(params, contract, cfg, quote):
+    """The streamed pass's three RunningMoments, selecting with v[v > 0]."""
+    payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
+    for chunk in terminal_chunks(params, contract.expiry, cfg):
+        for start in range(0, chunk.size, validation._MC_BLOCK):
+            terminal = chunk[start : start + validation._MC_BLOCK]
+            payoff.add(np.maximum(terminal - contract.strike, 0.0))
+            v = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
+            writer.add(v[v > 0])
+            v = eq.holder_loss(params, contract, quote.price, terminal)
+            holder.add(v[v > 0])
+    return payoff, writer, holder
+
+
 @pytest.mark.parametrize("paths", [100_003, 2 * 262_144 + 3])
 def test_streamed_mc_check_matches_whole_array_estimates(
     monkeypatch, ref_params, ref_contract, paths
@@ -149,8 +164,13 @@ def test_streamed_mc_check_matches_whole_array_estimates(
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     result = check_mc_agreement(ref_params, ref_contract, cfg, quote)
     p_hat, estimates, passed = whole_array_mc_moments(ref_params, ref_contract, cfg, quote)
+    reference = blockwise_boolean_index_moments(ref_params, ref_contract, cfg, quote)
 
     payoff, writer, holder = moments
+    for streamed, expected in zip(moments, reference):
+        assert (streamed.count, streamed.mean, streamed.m2) == (
+            expected.count, expected.mean, expected.m2
+        )
     assert writer.count / cfg.paths == p_hat
     for name, streamed in (("expected_call", payoff), ("writer_risk", writer),
                            ("holder_risk", holder)):
