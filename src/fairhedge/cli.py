@@ -68,12 +68,29 @@ class RunConfig:
         return McConfig(paths=self.paths, seed=self.seed)
 
 
-# Config-file keys and flags are the RunConfig fields, one to one.
+_EVERY_COMMAND = ("price", "quote", "risk-curve", "smile", "validate")
+# Each numeric setting once: its type, its help text and the commands that
+# read it. A command takes a flag only for the settings it reads; a config
+# file may hold every key, so one file serves every command.
+_SETTINGS = {
+    "s0": (float, "spot price", _EVERY_COMMAND),
+    "mu": (float, "real-world drift (annual)", _EVERY_COMMAND),
+    "sigma": (float, "volatility (annual)", _EVERY_COMMAND),
+    "r": (float, "risk-free rate (annual)", _EVERY_COMMAND),
+    "t": (float, "expiry in years", _EVERY_COMMAND),
+    "x": (float, "hedge fraction (shares per option)", ("price", "risk-curve")),
+    "paths": (int, "Monte Carlo paths", ("validate",)),
+    "seed": (int, "Monte Carlo seed", ("validate",)),
+    "grid_step": (float, "x grid step", ("risk-curve",)),
+    "reval_t": (float, "re-valuation time (years from start)", ("quote",)),
+    "reval_spot": (float, "spot at the re-valuation time (defaults to s0)", ("quote",)),
+}
+# Config-file keys are the RunConfig fields, one to one.
 _CONFIG_KEYS = frozenset(field.name for field in fields(RunConfig))
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a flat mapping."""
+    """Build and validate a RunConfig from a flat mapping; a None value means "not set"."""
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -102,28 +119,16 @@ def parse_config(data: dict) -> RunConfig:
         strikes = [strikes]
     if not isinstance(strikes, (list, tuple)) or not strikes:
         raise ValueError("config key 'strikes' must be a nonempty list of prices")
-    fmt = data.get("format", RunConfig.format)
+    fmt = RunConfig.format if data.get("format") is None else data["format"]
     if fmt not in ("csv", "json"):
         raise ValueError(f"config key 'format' must be 'csv' or 'json', got {fmt!r}")
-
-    cfg = RunConfig(
-        s0=as_float("s0", data["s0"]),
-        mu=as_float("mu", data["mu"]),
-        sigma=as_float("sigma", data["sigma"]),
-        r=as_float("r", data["r"]),
-        t=as_float("t", data["t"]),
-        strikes=[as_float("strikes", k) for k in strikes],
-        x=None if data.get("x") is None else as_float("x", data["x"]),
-        paths=as_int("paths", data.get("paths", RunConfig.paths)),
-        seed=as_int("seed", data.get("seed", RunConfig.seed)),
-        grid_step=as_float("grid_step", data.get("grid_step", RunConfig.grid_step)),
-        format=fmt,
-        out=data.get("out"),
-        reval_t=None if data.get("reval_t") is None else as_float("reval_t", data["reval_t"]),
-        reval_spot=None
-        if data.get("reval_spot") is None
-        else as_float("reval_spot", data["reval_spot"]),
-    )
+    settings = {
+        key: (as_int if kind is int else as_float)(key, data[key])
+        for key, (kind, _, _) in _SETTINGS.items()
+        if data.get(key) is not None
+    }
+    cfg = RunConfig(**settings, strikes=[as_float("strikes", k) for k in strikes],
+                    format=fmt, out=data.get("out"))
     # Fail fast on invariant violations so bad configs exit 2, not 3;
     # the market, contract and Monte Carlo records own their own rules.
     cfg.market()
@@ -140,7 +145,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ValueError(f"config key 'paths' must be at most {MAX_PATHS:,}, got {cfg.paths}")
     if cfg.reval_spot is not None and cfg.reval_t is None:
         raise ValueError("config key 'reval_spot' needs 'reval_t'")
-    if cfg.out and (
+    if not isinstance(cfg.out, (str, type(None))) or cfg.out and (
         os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or os.curdir)
     ):
         raise ValueError(f"config key 'out' is not a writable file path: {cfg.out!r}")
@@ -148,42 +153,25 @@ def parse_config(data: dict) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--s0", type=float, help="spot price")
-    common.add_argument("--mu", type=float, help="real-world drift (annual)")
-    common.add_argument("--sigma", type=float, help="volatility (annual)")
-    common.add_argument("--r", type=float, help="risk-free rate (annual)")
-    common.add_argument("--t", type=float, help="expiry in years")
-    strike_group = common.add_mutually_exclusive_group()
-    strike_group.add_argument("--strike", type=float, help="single strike")
-    strike_group.add_argument("--strikes", help="comma-separated strikes")
-    common.add_argument("--x", type=float, help="hedge fraction (shares per option)")
-    common.add_argument("--paths", type=int, help="Monte Carlo paths")
-    common.add_argument("--seed", type=int, help="Monte Carlo seed")
-    common.add_argument("--grid-step", type=float, dest="grid_step", help="x grid step")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--reval-t", type=float, dest="reval_t",
-                        help="re-valuation time for quote (years from start)")
-    common.add_argument("--reval-spot", type=float, dest="reval_spot",
-                        help="spot at the re-valuation time (defaults to s0)")
-
     parser = argparse.ArgumentParser(
         prog="fairhedge",
         description="Equilibrium pricing of a non-traded call under a static hedge.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("price", parents=[common],
-                   help="Black-Scholes price and real-world expected profits")
-    sub.add_parser("quote", parents=[common],
-                   help="risk-minimizing hedge fraction and equilibrium price")
-    sub.add_parser("risk-curve", parents=[common],
-                   help="price, risks and loss probability on an x grid")
-    sub.add_parser("smile", parents=[common],
-                   help="equilibrium prices and implied vols across strikes")
-    sub.add_parser("validate", parents=[common],
-                   help="closed forms vs Monte Carlo and quadrature oracles")
+    for command, (_, summary) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        cmd.add_argument("--config", help="JSON config file; flags override its values")
+        # risk-curve reads --x as a one-point grid, which leaves no use for --grid-step.
+        x_or_grid = cmd.add_mutually_exclusive_group() if command == "risk-curve" else cmd
+        for key, (kind, text, readers) in _SETTINGS.items():
+            if command in readers:
+                group = x_or_grid if key in ("x", "grid_step") else cmd
+                group.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
+        strike_group = cmd.add_mutually_exclusive_group()
+        strike_group.add_argument("--strike", type=float, help="single strike")
+        strike_group.add_argument("--strikes", help="comma-separated strikes")
+        cmd.add_argument("--format", choices=("csv", "json"), help="output format")
+        cmd.add_argument("--out", help="output file (default stdout)")
     return parser
 
 
@@ -200,7 +188,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         data.update(loaded)
-    # --strike/--strikes are parsed below.
+    # A command has no attribute for a flag it does not take; --strike/--strikes are parsed below.
     for key in _CONFIG_KEYS - {"strikes"}:
         value = getattr(args, key, None)
         if value is not None:
@@ -209,7 +197,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         data["strikes"] = [args.strike]
     elif args.strikes is not None:
         try:
-            data["strikes"] = [float(tok) for tok in str(args.strikes).split(",") if tok.strip()]
+            data["strikes"] = [float(tok) for tok in args.strikes.split(",")]
         except ValueError:
             raise ValueError(f"--strikes must be comma-separated numbers, got {args.strikes!r}") from None
     return parse_config(data)
@@ -343,18 +331,18 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "price": cmd_price,
-    "quote": cmd_quote,
-    "risk-curve": cmd_risk_curve,
-    "smile": cmd_smile,
-    "validate": cmd_validate,
+    "price": (cmd_price, "Black-Scholes price and real-world expected profits"),
+    "quote": (cmd_quote, "risk-minimizing hedge fraction and equilibrium price"),
+    "risk-curve": (cmd_risk_curve, "price, risks and loss probability on an x grid"),
+    "smile": (cmd_smile, "equilibrium prices and implied vols across strikes"),
+    "validate": (cmd_validate, "closed forms vs Monte Carlo and quadrature oracles"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_merge_config(args))
+        return _COMMANDS[args.command][0](_merge_config(args))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

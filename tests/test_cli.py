@@ -324,7 +324,7 @@ class TestConfigHandling:
 
     def test_integer_beyond_float_range_exits_2_naming_key(self, tmp_path):
         huge = "1" + "0" * 400
-        result = run_cli("quote", *EX_ARGS, "--strike", "100", "--paths", huge)
+        result = run_cli("validate", *EX_ARGS, "--strike", "100", "--paths", huge)
         assert result.returncode == 2
         assert f"config key 'paths' must be a finite number, got {huge}" in result.stderr
         config = tmp_path / "run.json"
@@ -335,8 +335,12 @@ class TestConfigHandling:
         assert f"config key 's0' must be a finite number, got {huge}" in result.stderr
 
     @pytest.mark.parametrize("command, seed", [("quote", "-5"), ("price", str(2**64))])
-    def test_out_of_range_seed_exits_2_for_every_command(self, command, seed):
-        result = run_cli(command, *EX_ARGS, "--strike", "100", "--seed", seed)
+    def test_out_of_range_seed_exits_2_for_every_command(self, command, seed, tmp_path):
+        # Only validate takes --seed, but a config file is checked whole for every command.
+        config = tmp_path / "run.json"
+        config.write_text('{"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0, '
+                          '"strikes": [100], "seed": %s}' % seed)
+        result = run_cli(command, "--config", str(config))
         assert result.returncode == 2
         assert result.stderr == f"config error: seed must be an unsigned 64-bit integer, got {seed}\n"
 
@@ -387,6 +391,59 @@ class TestConfigHandling:
         result = run_cli("smile", *EX_ARGS, "--strikes", "90,abc")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("strikes", ["90,,100", "100,", ",100", " "])
+    def test_empty_strikes_entry_exits_2(self, strikes):
+        result = run_cli("smile", *EX_ARGS, "--strikes", strikes)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("config error: --strikes must be comma-separated numbers, "
+                                 f"got {strikes!r}\n")
+
+    # Each command takes only the flags it reads; these 23 it would ignore.
+    UNREAD_FLAGS = {
+        "price": ["--paths", "--seed", "--grid-step", "--reval-t", "--reval-spot"],
+        "quote": ["--x", "--paths", "--seed", "--grid-step"],
+        "risk-curve": ["--paths", "--seed", "--reval-t", "--reval-spot"],
+        "smile": ["--x", "--paths", "--seed", "--grid-step", "--reval-t", "--reval-spot"],
+        "validate": ["--x", "--grid-step", "--reval-t", "--reval-spot"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag):
+        result = run_cli(command, *EX_ARGS, "--strike", "100", flag, "0.5")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"unrecognized arguments: {flag} 0.5" in result.stderr
+
+    def test_risk_curve_takes_x_or_grid_step_not_both(self, tmp_path):
+        result = run_cli("risk-curve", *EX_ARGS, "--strike", "100", "--x", "0.5",
+                         "--grid-step", "0.1")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "argument --grid-step: not allowed with argument --x" in result.stderr
+        # A config file may hold both; x wins, as a one-point grid.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0,
+                                      "strikes": [100], "x": 0.5, "grid_step": 0.1}))
+        from_file = run_cli("risk-curve", "--config", str(config))
+        assert from_file.returncode == 0, from_file.stderr
+        assert from_file.stdout == run_cli("risk-curve", *EX_ARGS, "--strike", "100",
+                                           "--x", "0.5").stdout
+
+    @pytest.mark.parametrize("command", ["price", "quote", "risk-curve", "smile", "validate"])
+    def test_null_config_value_means_not_set(self, command, tmp_path):
+        market = {"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0, "strikes": [100]}
+        unset = dict.fromkeys(["x", "paths", "seed", "grid_step", "format", "out",
+                               "reval_t", "reval_spot"])
+        (tmp_path / "bare.json").write_text(json.dumps(market))
+        (tmp_path / "null.json").write_text(json.dumps({**market, **unset}))
+        bare = run_cli(command, "--config", str(tmp_path / "bare.json"))
+        null = run_cli(command, "--config", str(tmp_path / "null.json"))
+        assert null.returncode == bare.returncode == 0, null.stderr
+        assert null.stdout == bare.stdout
+
     def test_unknown_command_exits_2(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
@@ -404,6 +461,16 @@ class TestConfigHandling:
         assert result.returncode == 2
         assert result.stderr == f"config error: config key 'out' is not a writable file path: {str(out)!r}\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("out", [5, True])
+    def test_output_that_is_not_a_string_exits_2(self, out, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0,
+                                      "strikes": [100], "out": out}))
+        result = run_cli("price", "--config", str(config))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"config error: config key 'out' is not a writable file path: {out!r}\n"
 
     def test_output_naming_a_directory_is_rejected_with_the_config(self, tmp_path):
         data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0,

@@ -4,8 +4,9 @@ perfbench finds its per-layer metrics by "layer.function" name and raises
 KeyError for a missing one, but only in a traced run. These tests read
 those names from its sources, without importing it, so renaming or removing
 a traced function fails here. The settings pins make any growth of the
-configurable surface show up as a diff, and the CLI's flags are pinned to
-RunConfig's fields, whose Monte Carlo defaults are McConfig's.
+configurable surface show up as a diff, and the CLI's flags are pinned per
+command and together to RunConfig's fields, whose Monte Carlo defaults are
+McConfig's.
 """
 
 import argparse
@@ -107,15 +108,24 @@ def test_only_monte_carlo_size_and_seed_are_settable():
 
 
 def test_cli_flags_are_the_run_config_fields():
-    # _merge_config reads one flag per RunConfig field; a field without a
-    # flag, or a flag without a field, would be ignored silently.
+    # Each command takes only the flags it reads, and _merge_config reads
+    # one flag per RunConfig field: together the commands' flags are the
+    # fields, so no field lacks a flag and no flag lacks a field.
     parser = cli.build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {action.dest for action in sub._actions} - {"help"}
+             for name, sub in commands.choices.items()}
+    # --strike and --strikes both fill strikes; --config names the file.
+    shared = {"config", "s0", "mu", "sigma", "r", "t", "strike", "strikes", "format", "out"}
+    assert flags == {
+        "price": shared | {"x"},
+        "quote": shared | {"reval_t", "reval_spot"},
+        "risk-curve": shared | {"x", "grid_step"},
+        "smile": shared,
+        "validate": shared | {"paths", "seed"},
+    }
     keys = {field.name for field in dataclasses.fields(cli.RunConfig)}
-    for name, sub in commands.choices.items():
-        dests = {action.dest for action in sub._actions} - {"help"}
-        # --strike and --strikes both fill strikes; --config names the file.
-        assert dests == keys | {"strike", "config"}, name
+    assert set().union(*flags.values()) == keys | {"strike", "config"}
 
 
 def test_cli_monte_carlo_defaults_are_mc_config_defaults():
