@@ -145,8 +145,9 @@ def parse_config(data: dict) -> RunConfig:
         raise ValueError(f"config key 'paths' must be at most {MAX_PATHS:,}, got {cfg.paths}")
     if cfg.reval_spot is not None and cfg.reval_t is None:
         raise ValueError("config key 'reval_spot' needs 'reval_t'")
-    if not isinstance(cfg.out, (str, type(None))) or cfg.out and (
-        os.path.isdir(cfg.out) or not os.path.isdir(os.path.dirname(cfg.out) or os.curdir)
+    if cfg.out is not None and (
+        not isinstance(cfg.out, str) or not cfg.out or os.path.isdir(cfg.out)
+        or not os.path.isdir(os.path.dirname(cfg.out) or os.curdir)
     ):
         raise ValueError(f"config key 'out' is not a writable file path: {cfg.out!r}")
     return cfg
@@ -228,7 +229,7 @@ def _render(rows: list[dict], header: list[str], fmt: str, json_extra: Sequence[
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
+    if cfg.out is not None:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -39,6 +39,13 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_finite(record, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Market environment under the real-world measure.
@@ -49,8 +56,9 @@ class MarketParams:
         volatility: Annual volatility sigma, must be positive.
         risk_free: Annual risk-free rate r.
 
-    The buyer's premise drift > risk_free is a standing assumption of the
-    whole model; construction fails if it does not hold.
+    Every field must be finite. The buyer's premise drift > risk_free is a
+    standing assumption of the whole model; construction fails if it does
+    not hold.
     """
 
     spot: float
@@ -59,6 +67,7 @@ class MarketParams:
     risk_free: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("spot", "drift", "volatility", "risk_free"))
         if not self.spot > 0:
             raise ValueError(f"spot must be positive, got {self.spot}")
         if not self.volatility > 0:
@@ -72,12 +81,13 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class OptionContract:
-    """European call contract: strike K and expiry T in years."""
+    """European call contract: finite strike K and expiry T in years, both positive."""
 
     strike: float
     expiry: float
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("strike", "expiry"))
         if not self.strike > 0:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if not self.expiry > 0:
@@ -132,7 +142,12 @@ def rate_factors(params: MarketParams, expiry: float) -> tuple[float, float, flo
 
 
 def _sig_sqrt_t(sigma: float, expiry: float) -> float:
-    """sigma sqrt(T); DegenerateMarket if it underflows to zero, as no d+- exists then."""
+    """sigma sqrt(T); DegenerateMarket if sigma^2 T overflows or sigma sqrt(T) underflows to zero.
+
+    No d+- has floating-point meaning in either case.
+    """
+    if not math.isfinite(sigma * sigma * expiry):
+        raise DegenerateMarket(f"sigma^2 T overflows: sigma = {sigma}, T = {expiry}")
     sig_sqrt_t = sigma * math.sqrt(expiry)
     if sig_sqrt_t == 0.0:
         raise DegenerateMarket(f"sigma*sqrt(T) underflows to zero: sigma = {sigma}, T = {expiry}")

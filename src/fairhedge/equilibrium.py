@@ -79,7 +79,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskThresholds:
     """Standardized-normal cut points delimiting the loss events.
 
@@ -92,7 +92,7 @@ class RiskThresholds:
     d_prime: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskReport:
     """Risk picture of one hedge fraction at its fair price."""
 
@@ -106,7 +106,7 @@ class RiskReport:
     thresholds: RiskThresholds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumQuote:
     """Risk-minimizing hedge fraction and the premium it implies."""
 
@@ -115,7 +115,7 @@ class EquilibriumQuote:
     report: RiskReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmilePoint:
     """One strike of a smile sweep; an unresolvable point keeps the nan defaults and sets error."""
 
@@ -146,7 +146,8 @@ class _RiskKernel:
     hedge edge is zero in floating point, so x_max would divide by zero.
     The methods evaluate the formulas at any x in one fixed operation
     order, so the public wrappers and the minimizer's scan give identical
-    bits for identical inputs.
+    bits for identical inputs. The scan calls writer_terms, the writer's
+    side only; report adds d' and the holder's risk to it.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -185,7 +186,7 @@ class _RiskKernel:
             raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
         return price
 
-    def thresholds(self, x: float, price: float) -> RiskThresholds:
+    def _d1_d2(self, x: float, price: float) -> tuple[float, float]:
         s0, sig_sqrt_t, shift, compounding = self.spot, self.sig_sqrt_t, self.shift, self.compounding
         stock_cover = x * s0 - price
         if stock_cover <= 0:
@@ -195,16 +196,21 @@ class _RiskKernel:
         d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
         if d2_arg <= 0:
             raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
-        d2 = (math.log(d2_arg) + shift) / sig_sqrt_t
-        d_prime = (math.log((self.strike + price * compounding) / s0) + shift) / sig_sqrt_t
-        return RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=d_prime)
+        return d1, (math.log(d2_arg) + shift) / sig_sqrt_t
 
-    def report(self, x: float) -> RiskReport:
+    def _d_prime(self, price: float) -> float:
+        d_prime_arg = (self.strike + price * self.compounding) / self.spot
+        return (math.log(d_prime_arg) + self.shift) / self.sig_sqrt_t
+
+    def thresholds(self, x: float, price: float) -> RiskThresholds:
+        d1, d2 = self._d1_d2(x, price)
+        return RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=self._d_prime(price))
+
+    def writer_terms(self, x: float) -> tuple[float, ...]:
+        """(price, d1, d2, loss_prob, partial_call, partial_stock, gamma_W): the scan objective."""
         price = self.fair_price(x)
-        th = self.thresholds(x, price)
-        d1, d2, d_prime = th.d1, th.d2, th.d_prime
-        sig_sqrt_t, grown_spot, strike = self.sig_sqrt_t, self.grown_spot, self.strike
-        compounding = self.compounding
+        d1, d2 = self._d1_d2(x, price)
+        sig_sqrt_t, grown_spot, compounding = self.sig_sqrt_t, self.grown_spot, self.compounding
         # Survival probabilities are N(-z), not 1 - N(z), to keep relative
         # precision in the tails; a -inf d1 contributes nothing.
         upper_tail = std_normal_cdf(-d2)
@@ -212,7 +218,7 @@ class _RiskKernel:
         if loss_prob <= 0.0:
             raise DegenerateLoss(f"writer loss probability underflowed to zero at x={x}")
         upper_tail_shifted = std_normal_cdf(-(d2 - sig_sqrt_t))
-        partial_call = grown_spot * upper_tail_shifted - strike * upper_tail
+        partial_call = grown_spot * upper_tail_shifted - self.strike * upper_tail
         partial_stock = grown_spot * (std_normal_cdf(d1 - sig_sqrt_t) + upper_tail_shifted)
         gamma_w = (
             partial_call / loss_prob
@@ -220,10 +226,15 @@ class _RiskKernel:
             + x * self.spot * compounding
             - price * compounding
         )
+        return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w
+
+    def report(self, x: float) -> RiskReport:
+        price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = self.writer_terms(x)
+        d_prime = self._d_prime(price)
         cdf_d_prime = std_normal_cdf(d_prime)
-        in_band_payoff = grown_spot * (
-            std_normal_cdf(d_prime - sig_sqrt_t) - self.cdf_d_shifted
-        ) - strike * (cdf_d_prime - self.cdf_d)
+        in_band_payoff = self.grown_spot * (
+            std_normal_cdf(d_prime - self.sig_sqrt_t) - self.cdf_d_shifted
+        ) - self.strike * (cdf_d_prime - self.cdf_d)
         return RiskReport(
             x=x,
             fair_price=price,
@@ -231,8 +242,8 @@ class _RiskKernel:
             partial_call=partial_call,
             partial_stock=partial_stock,
             writer_risk=gamma_w,
-            holder_risk=price * compounding - in_band_payoff / cdf_d_prime,
-            thresholds=th,
+            holder_risk=price * self.compounding - in_band_payoff / cdf_d_prime,
+            thresholds=RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=d_prime),
         )
 
 
@@ -416,7 +427,7 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
 
     def risk_at(x: float) -> float:
         try:
-            return kernel.report(x).writer_risk
+            return kernel.writer_terms(x)[6]
         except PricingError:
             return math.inf
 
@@ -449,12 +460,9 @@ def volatility_smile(params: MarketParams, strikes: list[float], expiry: float) 
     """
     if not strikes:
         raise ValueError("strikes must be nonempty")
-    for k in strikes:
-        if not k > 0:
-            raise ValueError(f"strike must be positive, got {k}")
+    contracts = [OptionContract(strike=k, expiry=expiry) for k in strikes]
     points = []
-    for k in strikes:
-        contract = OptionContract(strike=k, expiry=expiry)
+    for k, contract in zip(strikes, contracts):
         try:
             quote = minimize_writer_risk(params, contract)
             vol = implied_vol(params, contract, quote.price)

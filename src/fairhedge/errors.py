@@ -24,7 +24,7 @@ class NonpositivePrice(PricingError):
 
 
 class DegenerateMarket(PricingError):
-    """e^{mu T}, e^{rT} or e^{-rT} leaves the float range, or the hedge edge or sigma sqrt(T) is 0."""
+    """A growth factor or sigma^2 T is out of float range, or the edge or sigma sqrt(T) is 0."""
 
 
 class DomainError(PricingError):

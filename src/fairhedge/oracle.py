@@ -191,7 +191,16 @@ def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
     return moments.estimate()
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The 12-point Gauss-Legendre rule on [-1, 1], bit for bit as
+# np.polynomial.legendre.leggauss(12): mirrored nodes share a weight.
+_GL_HALF_NODES = np.array([float.fromhex(h) for h in (
+    "0x1.007a5f8f630e4p-3", "0x1.78a8d20a8b19dp-2", "0x1.2cb4f05c077f9p-1",
+    "0x1.8a30aeed88f36p-1", "0x1.cee874ffb88b3p-1", "0x1.f68f1d8e42e81p-1")])
+_GL_HALF_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.fe40ce6d4f022p-3", "0x1.de3155c256aaep-3", "0x1.a0163e6b1ab6bp-3",
+    "0x1.47d7258f22d96p-3", "0x1.b60602bce61afp-4", "0x1.8275d9dea6d53p-5")])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Integration window in z of the quadrature rule, and its panel count.
 _Z_WINDOW = (-10.0, 10.0)

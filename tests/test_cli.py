@@ -145,24 +145,28 @@ class TestQuoteCommand:
 
 
 class TestDegenerateMarkets:
-    # Growth factors that overflow, a sigma sqrt(T) that underflows to zero,
-    # or a hedge edge e^(mu T) - e^(r T) that rounds to zero, are domain
-    # errors (exit 3) on every command they reach. Each market comes with
-    # the start of its DegenerateMarket message; a later --sigma wins.
+    # Growth factors or a sigma^2 T that overflow, a sigma sqrt(T) that
+    # underflows to zero, or a hedge edge e^(mu T) - e^(r T) that rounds to
+    # zero, are domain errors (exit 3) on every command they reach. Each
+    # market comes with the start of its DegenerateMarket message; a later
+    # --sigma wins.
     OVERFLOW = [
         (["--mu", "800", "--r", "0.05", "--t", "1"], "growth factors"),
         (["--mu", "0.1", "--r", "0.05", "--t", "20000"], "growth factors"),
         (["--mu", "0.1", "--r", "-800", "--t", "1"], "growth factors"),
         (["--mu", "0.1", "--sigma", "5e-324", "--r", "0.05", "--t", "0.1"],
          "sigma*sqrt(T) underflows to zero"),
+        (["--mu", "0.1", "--sigma", "1e300", "--r", "0.05", "--t", "1"],
+         "sigma^2 T overflows"),
     ]
     ZERO_EDGE = [
         ["--mu", "0.1", "--r", "0.05", "--t", "1e-300"],
         ["--mu", "1e-300", "--r", "0", "--t", "1"],
     ]
 
-    @pytest.mark.parametrize("command", ["price", "quote", "risk-curve", "smile"])
-    @pytest.mark.parametrize("market, message", OVERFLOW, ids=["mu", "t", "r", "sigma"])
+    @pytest.mark.parametrize("command", ["price", "quote", "risk-curve", "smile", "validate"])
+    @pytest.mark.parametrize("market, message", OVERFLOW,
+                             ids=["mu", "t", "r", "sigma", "sigma_squared"])
     def test_overflowing_growth_factor_exits_3(self, command, market, message):
         result = run_cli(command, "--s0", "100", "--sigma", "0.2", *market, "--strike", "100")
         assert result.returncode == 3, result.stderr
@@ -471,6 +475,18 @@ class TestConfigHandling:
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == f"config error: config key 'out' is not a writable file path: {out!r}\n"
+
+    def test_empty_output_path_exits_2(self, tmp_path):
+        # An empty path is not a file name, so it is not read as "stdout".
+        flag = run_cli("quote", *EX_ARGS, "--strike", "100", "--out", "")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"s0": 100, "mu": 0.1, "sigma": 0.2, "r": 0.05, "t": 1.0,
+                                      "strikes": [100], "out": ""}))
+        from_file = run_cli("quote", "--config", str(config))
+        for result in (flag, from_file):
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == "config error: config key 'out' is not a writable file path: ''\n"
 
     def test_output_naming_a_directory_is_rejected_with_the_config(self, tmp_path):
         data = {"s0": 100.0, "mu": 0.10, "sigma": 0.2, "r": 0.05, "t": 1.0,

@@ -72,6 +72,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="expiry"):
             OptionContract(strike=100.0, expiry=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["spot", "drift", "volatility", "risk_free", "strike", "expiry"])
+    def test_rejects_non_finite_field_naming_it(self, field, value):
+        fields = {"spot": 100.0, "drift": 0.1, "volatility": 0.2, "risk_free": 0.05,
+                  "strike": 100.0, "expiry": 1.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            MarketParams(**{k: fields[k] for k in ("spot", "drift", "volatility", "risk_free")})
+            OptionContract(strike=fields["strike"], expiry=fields["expiry"])
+
     def test_numeric_config_is_a_fixed_record(self):
         cfg = NumericConfig()
         assert (cfg.vol_bracket, cfg.minimizer_grid, cfg.minimizer_tol) == ((1e-4, 5.0), 1e-3, 1e-6)
@@ -124,6 +134,13 @@ class TestDPlusMinus:
         """growth*T = -sigma^2 T / 2 makes d_plus vanish at the money."""
         d_plus, _ = d_plus_minus(ref_params, ref_contract, -0.02)
         assert d_plus == pytest.approx(0.0, abs=1e-14)
+
+    # 1.5e154 squares past the float range while 0.5 sigma^2 still fits.
+    @pytest.mark.parametrize("sigma, expiry", [(1e300, 1.0), (1.5e154, 1.0), (1e154, 4.0)])
+    def test_overflowing_sigma_squared_t_is_a_domain_error(self, ref_contract, sigma, expiry):
+        params = MarketParams(spot=100.0, drift=0.1, volatility=sigma, risk_free=0.05)
+        with pytest.raises(DegenerateMarket, match="sigma\\^2 T overflows"):
+            d_plus_minus(params, replace(ref_contract, expiry=expiry), params.drift)
 
     def test_gap_is_sigma_root_t(self):
         for params, contract, _ in draw_suite(50, seed=11):

@@ -6,7 +6,8 @@ Carlo within standard-error bands.
 """
 
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fairhedge import (
     McConfig,
     NonpositivePrice,
     OptionContract,
+    PricingError,
     expected_call_payoff_physical,
     expected_profits,
     fair_price,
@@ -34,6 +36,7 @@ from fairhedge import (
     writer_loss,
     writer_risk,
 )
+from fairhedge import equilibrium
 from fairhedge.equilibrium import price_positive_x_max, risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import draw_suite, quadrature_risk, rel_err
@@ -358,6 +361,66 @@ class TestMinimizeWriterRisk:
             minimize_writer_risk(params, contract)
 
 
+class TestScanObjective:
+    def test_writer_terms_are_the_reports_bits_or_its_error(self):
+        """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included."""
+        compared = raised = 0
+        for params, contract, _ in draw_suite(24, seed=31):
+            kernel = equilibrium._RiskKernel(params, contract)
+            for i in range(int(equilibrium.MAX_HEDGE_FRACTION / 1e-3) + 1):
+                x = i * 1e-3
+                try:
+                    report = writer_risk(params, contract, x)
+                except PricingError as exc:
+                    with pytest.raises(type(exc)):
+                        kernel.writer_terms(x)
+                    raised += 1
+                    continue
+                th = report.thresholds
+                expected = (report.fair_price, th.d1, th.d2, report.loss_prob,
+                            report.partial_call, report.partial_stock, report.writer_risk)
+                assert [v.hex() for v in kernel.writer_terms(x)] == [v.hex() for v in expected]
+                compared += 1
+        assert compared > 10_000 and raised > 1_000
+
+    def test_one_full_report_per_quote(self, ref_params, ref_contract, monkeypatch):
+        calls = []
+        report = equilibrium._RiskKernel.report
+
+        def counted(kernel, x):
+            calls.append(x)
+            return report(kernel, x)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "report", counted)
+        quote = minimize_writer_risk(ref_params, ref_contract)
+        assert calls == [quote.x_star]
+
+
+class TestResultRecords:
+    def records(self, params, contract):
+        quote = minimize_writer_risk(params, contract)
+        point = volatility_smile(params, [contract.strike], contract.expiry)[0]
+        return [quote, quote.report, quote.report.thresholds, point]
+
+    def test_records_are_slotted(self, ref_params, ref_contract):
+        for record in self.records(ref_params, ref_contract):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, fields(record)[0].name, 1.0)
+
+    def test_records_keep_the_dataclass_protocols(self, ref_params, ref_contract):
+        again = self.records(ref_params, ref_contract)
+        for record, twin in zip(self.records(ref_params, ref_contract), again):
+            assert record == twin and hash(record) == hash(twin)
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert replace(record) == record
+            assert type(record)(**{k: getattr(record, k) for k in asdict(record)}) == record
+        quote, report, thresholds, point = again
+        assert asdict(quote)["report"]["thresholds"] == asdict(thresholds)
+        assert replace(report, x=0.5) != report
+        assert replace(point, error="E").error == "E"
+
+
 class TestVolatilitySmile:
     STRIKES = [90.0, 95.0, 100.0, 105.0, 110.0, 115.0]
     PRICES = [18.89, 15.28, 12.10, 9.38, 7.12, 5.30]
@@ -409,6 +472,10 @@ class TestVolatilitySmile:
     def test_nonpositive_strike_rejected(self, ref_params):
         with pytest.raises(ValueError, match="strike"):
             volatility_smile(ref_params, [100.0, -5.0], 1.0)
+
+    def test_non_finite_strike_rejected_by_name(self, ref_params):
+        with pytest.raises(ValueError, match="^strike must be finite, got inf$"):
+            volatility_smile(ref_params, [math.inf, 100.0], 1.0)
 
 
 class TestRevalueAtTime:

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo simulator and the normal-quadrature engine."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from fairhedge import (
     std_normal_cdf,
     writer_loss,
 )
+from fairhedge import oracle
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
@@ -190,6 +193,19 @@ class TestRunningMoments:
             padded.add(values)
             padded.add(np.empty(0))
         assert (padded.count, padded.mean, padded.m2) == (plain.count, plain.mean, plain.m2)
+
+
+class TestGaussLegendreRule:
+    def test_constants_are_the_leggauss_rule_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert oracle._GL_NODES.tobytes() == nodes.tobytes()
+        assert oracle._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_importing_the_library_leaves_numpy_polynomial_unloaded(self):
+        code = ("import sys, fairhedge, fairhedge.cli, fairhedge.validation; "
+                "print('numpy.polynomial' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 class TestQuadExpectation:
