@@ -346,41 +346,41 @@ def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> Ris
     return _RiskKernel(params, contract).report(x)
 
 
+def _realized_losses(
+    params: MarketParams, contract: OptionContract, x: float, price: float, terminal
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C(T), writer loss, holder loss) at terminal prices, C(T) = (S(T)-K)^+ computed once.
+
+    The one statement of the loss formulas, in their operation order; new arrays, 0-d for a scalar.
+    """
+    s = np.asarray(terminal, dtype=float)
+    compounding = rate_factors(params, contract.expiry)[1]
+    premium = price * compounding
+    payoff = np.subtract(s, contract.strike, out=np.empty_like(s))
+    np.maximum(payoff, 0.0, out=payoff)
+    writer = np.subtract(s, params.spot * compounding, out=np.empty_like(s))
+    writer *= x
+    np.subtract(payoff, writer, out=writer)
+    writer -= premium
+    return payoff, writer, np.subtract(premium, payoff, out=np.empty_like(s))
+
+
 def writer_loss(
-    params: MarketParams,
-    contract: OptionContract,
-    x: float,
-    price: float,
-    terminal: np.ndarray,
+    params: MarketParams, contract: OptionContract, x: float, price: float, terminal: np.ndarray
 ) -> np.ndarray:
     """Realized writer loss C(T) - x (S(T) - S0 e^{rT}) - price e^{rT}.
 
     Vectorized over terminal prices; the definitional counterpart of the
     closed-form risk, used by the simulation and quadrature cross-checks.
     """
-    s = np.asarray(terminal, dtype=float)
-    compounding = rate_factors(params, contract.expiry)[1]
-    # In place on two buffers, in the formula's operation order so the bits match it.
-    loss = np.subtract(s, contract.strike, out=np.empty_like(s))
-    np.maximum(loss, 0.0, out=loss)
-    hedge = np.subtract(s, params.spot * compounding)
-    hedge *= x
-    loss -= hedge
-    loss -= price * compounding
-    return loss
+    return _realized_losses(params, contract, x, price, terminal)[1]
 
 
 def holder_loss(
-    params: MarketParams,
-    contract: OptionContract,
-    price: float,
-    terminal: np.ndarray,
+    params: MarketParams, contract: OptionContract, price: float, terminal: np.ndarray
 ) -> np.ndarray:
     """Realized holder loss price e^{rT} - C(T), vectorized over terminal prices."""
-    s = np.asarray(terminal, dtype=float)
-    loss = np.subtract(s, contract.strike, out=np.empty_like(s))
-    np.maximum(loss, 0.0, out=loss)
-    return np.subtract(price * rate_factors(params, contract.expiry)[1], loss, out=loss)
+    return _realized_losses(params, contract, 0.0, price, terminal)[2]
 
 
 def _golden_section(objective, lo: float, hi: float, tol: float) -> float:

@@ -40,7 +40,7 @@ from .oracle import (
 __all__ = ["CheckResult", "draw_suite", "run_all_checks"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -51,6 +51,14 @@ def rel_err(a: float, b: float) -> float:
     """Relative disagreement of two values, safe at zero."""
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
+
+
+# Relative margin inside x_max for sampled and property-checked x (see draw_suite).
+_SAMPLING_MARGIN = 1e-3
+
+
+def _sampling_upper(kernel: eq._RiskKernel) -> float:
+    return min(eq.MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - _SAMPLING_MARGIN))
 
 
 def draw_suite(
@@ -66,7 +74,7 @@ def draw_suite(
     below the premium floor that minimize_writer_risk refuses to quote (an
     expected payoff under 1e-8 of spot, which perturbs the strike below one
     ulp, so the strict threshold inequalities have no floating-point
-    meaning) are redrawn, and x stays a relative 1e-3 inside the
+    meaning) are redrawn, and x stays a relative _SAMPLING_MARGIN inside the
     premium-positivity boundary for the same reason (wider than the kernel's
     1e-12 margin, since narrowing it would re-draw every seeded input).
     With threshold_window set, draws are further redrawn until every loss
@@ -88,7 +96,7 @@ def draw_suite(
         kernel = eq._RiskKernel(params, contract)
         if kernel.below_premium_floor:
             continue
-        upper = min(eq.MAX_HEDGE_FRACTION, kernel.x_max * (1.0 - 1e-3))
+        upper = _sampling_upper(kernel)
         x = upper * rng.uniform(0.0, 1.0)
         if x <= 0.0:
             x = 0.5 * upper
@@ -171,42 +179,36 @@ def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> 
     )
 
 
-def check_threshold_ordering() -> CheckResult:
-    violations, n_draws = 0, 200
-    for params, contract, x in draw_suite(n_draws, seed=2024):
-        kernel = eq._RiskKernel(params, contract)
+def _property_grid(kernel: eq._RiskKernel) -> np.ndarray:
+    """The 100 hedge fractions linspace(u/100, u, 100) that both property checks test."""
+    upper = _sampling_upper(kernel)
+    return np.linspace(upper / 100, upper, 100)
+
+
+def check_threshold_ordering(params: MarketParams, contract: OptionContract) -> CheckResult:
+    """d1 < d < d2 (where d1 is finite) and d < d' at the fair price, on the property grid."""
+    kernel = eq._RiskKernel(params, contract)
+    xs = _property_grid(kernel).tolist()
+    violations = 0
+    for x in xs:
         th = kernel.thresholds(x, kernel.fair_price(x))
-        if math.isfinite(th.d1) and not th.d1 < th.d:
+        if not ((th.d1 < th.d or not math.isfinite(th.d1)) and th.d < th.d2 and th.d < th.d_prime):
             violations += 1
-        elif not (th.d < th.d2 and th.d < th.d_prime):
-            violations += 1
-    return CheckResult(
-        "threshold_ordering",
-        violations == 0,
-        f"{violations} violations in {n_draws} draws",
-    )
+    detail = f"{violations} violations in {len(xs)} hedge fractions"
+    return CheckResult("threshold_ordering", violations == 0, detail)
 
 
-def check_threshold_arg_monotonicity() -> CheckResult:
-    violations, n_draws = 0, 50
-    for params, contract, _ in draw_suite(n_draws, seed=2025):
-        upper = min(0.99, eq._RiskKernel(params, contract).x_hi * 0.99)
-        if upper <= 0.02:
-            continue
-        compounding = rate_factors(params, contract.expiry)[1]
-        xs = np.linspace(0.01, upper, 100)
-        prices = eq.fair_price(params, contract, xs)
-        dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
-        live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
-            params.spot * (1.0 - xs)
-        )
-        if np.any(np.diff(dead_call) < -1e-12) or np.any(np.diff(live_call) < -1e-12):
-            violations += 1
-    return CheckResult(
-        "threshold_arg_monotonicity",
-        violations == 0,
-        f"{violations} violating draws out of {n_draws}",
-    )
+def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContract) -> CheckResult:
+    """The d1 and d2 log arguments never fall by over 1e-12 between property-grid points."""
+    kernel = eq._RiskKernel(params, contract)
+    xs, s0, compounding = _property_grid(kernel), params.spot, kernel.compounding
+    prices = eq.fair_price(params, contract, xs)
+    dead_call = (xs * s0 - prices) * compounding / (s0 * xs)
+    live_call = (contract.strike + (prices - xs * s0) * compounding) / (s0 * (1.0 - xs))
+    falls = (np.diff(dead_call) < -1e-12) | (np.diff(live_call) < -1e-12)
+    violations = int(np.count_nonzero(falls))
+    detail = f"{violations} violations in {xs.size} hedge fractions"
+    return CheckResult("threshold_arg_monotonicity", violations == 0, detail)
 
 
 def quadrature_risk(
@@ -221,8 +223,7 @@ def quadrature_risk(
     # One rule and one S(T) array serve all four integrands.
     z, weights = quad_rule([th.d1, th.d, th.d2, th.d_prime])
     terminal = terminal_price(params, contract.expiry, z, params.drift)
-    w_loss = eq.writer_loss(params, contract, x, price, terminal)
-    h_loss = eq.holder_loss(params, contract, price, terminal)
+    _, w_loss, h_loss = eq._realized_losses(params, contract, x, price, terminal)
 
     def expect(values: np.ndarray) -> float:
         return float(np.dot(weights, values))
@@ -274,11 +275,11 @@ def check_mc_agreement(
     """Closed forms at the quote vs their Monte Carlo estimates, 3.5 standard errors.
 
     One streamed pass: each chunk of the sample is walked in blocks of
-    _MC_BLOCK paths, whose payoffs and positive writer and holder losses
-    feed running moments, so no path-sized array is made. A sample too
-    small to give a standard error, or with fewer than two positive losses
-    for a conditional risk (so no finite band), fails the check instead of
-    raising.
+    _MC_BLOCK paths: each block's payoffs, computed once, and the positive
+    writer and holder losses derived from them feed running moments, so no
+    path-sized array is made. A sample too small to give a standard error,
+    or with fewer than two positive losses for a conditional risk (so no
+    finite band), fails the check instead of raising.
     """
     report = quote.report
     n = mc_cfg.paths
@@ -289,13 +290,12 @@ def check_mc_agreement(
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     for chunk in terminal_chunks(params, contract.expiry, mc_cfg):
         for start in range(0, chunk.size, _MC_BLOCK):
-            terminal = chunk[start : start + _MC_BLOCK]
-            payoffs = np.subtract(terminal, contract.strike)
-            payoff.add(np.maximum(payoffs, 0.0, out=payoffs))
-            losses = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
-            writer.add(np.compress(losses > 0, losses))
-            losses = eq.holder_loss(params, contract, quote.price, terminal)
-            holder.add(np.compress(losses > 0, losses))
+            payoffs, w_loss, h_loss = eq._realized_losses(
+                params, contract, quote.x_star, quote.price, chunk[start : start + _MC_BLOCK]
+            )
+            payoff.add(payoffs)
+            writer.add(np.compress(w_loss > 0, w_loss))
+            holder.add(np.compress(h_loss > 0, h_loss))
 
     if writer.count == 0 or holder.count == 0:
         return CheckResult(
@@ -358,8 +358,8 @@ def run_all_checks(
         check_price_vs_quadrature(params, contract),
         check_physical_parity(params, contract),
         check_fair_play_identity(params, contract),
-        check_threshold_ordering(),
-        check_threshold_arg_monotonicity(),
+        check_threshold_ordering(params, contract),
+        check_threshold_arg_monotonicity(params, contract),
         check_risks_vs_quadrature(params, contract),
     ]
     quote = eq.minimize_writer_risk(params, contract)

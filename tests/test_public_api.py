@@ -99,8 +99,8 @@ def test_only_monte_carlo_size_and_seed_are_settable():
         validation.check_price_vs_quadrature: ["params", "contract"],
         validation.check_risks_vs_quadrature: ["params", "contract"],
         validation.check_quote_grid_consistency: ["params", "contract", "quote"],
-        validation.check_threshold_ordering: [],
-        validation.check_threshold_arg_monotonicity: [],
+        validation.check_threshold_ordering: ["params", "contract"],
+        validation.check_threshold_arg_monotonicity: ["params", "contract"],
         validation.run_all_checks: ["params", "contract", "mc_cfg"],
     }
     for fn, parameters in signatures.items():

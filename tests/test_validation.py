@@ -7,7 +7,9 @@ and streamed versions give the values of the step-by-step, whole-array ones
 (the streamed moments bit for bit those of a block-wise boolean-index
 pass), and that a sample too small for a finite Monte Carlo band, or a
 trial price with no implied vol, fails its check instead of raising or
-passing.
+passing. The two threshold property checks test the caller's market on a
+100-point hedge grid and fail, with a count, when a cut point is out of
+order or a log argument falls.
 """
 
 import math
@@ -31,6 +33,8 @@ from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 from fairhedge.validation import (
     check_implied_vol_round_trip,
     check_mc_agreement,
+    check_threshold_arg_monotonicity,
+    check_threshold_ordering,
     draw_suite,
     quadrature_risk,
     run_all_checks,
@@ -148,10 +152,20 @@ def blockwise_boolean_index_moments(params, contract, cfg, quote):
     return payoff, writer, holder
 
 
-@pytest.mark.parametrize("paths", [100_003, 2 * 262_144 + 3])
+# The Monte Carlo pass is pinned on the reference market and, away from it,
+# on three markets whose cut points lie inside [-8, 8].
+WINDOWED_MARKETS = [(p, c) for p, c, _ in draw_suite(3, seed=31, threshold_window=8.0)]
+
+
+@pytest.mark.parametrize(
+    "market, paths",
+    [pytest.param(None, 100_003, id="100003"), pytest.param(None, 2 * 262_144 + 3, id="524291")]
+    + [pytest.param(m, 2 * 262_144 + 3, id=f"windowed{i}") for i, m in enumerate(WINDOWED_MARKETS)],
+)
 def test_streamed_mc_check_matches_whole_array_estimates(
-    monkeypatch, ref_params, ref_contract, paths
+    monkeypatch, ref_params, ref_contract, market, paths
 ):
+    params, contract = market or (ref_params, ref_contract)
     moments = []
 
     class Recorded(RunningMoments):
@@ -161,10 +175,10 @@ def test_streamed_mc_check_matches_whole_array_estimates(
 
     monkeypatch.setattr(validation, "RunningMoments", Recorded)
     cfg = McConfig(paths=paths, seed=11)
-    quote = eq.minimize_writer_risk(ref_params, ref_contract)
-    result = check_mc_agreement(ref_params, ref_contract, cfg, quote)
-    p_hat, estimates, passed = whole_array_mc_moments(ref_params, ref_contract, cfg, quote)
-    reference = blockwise_boolean_index_moments(ref_params, ref_contract, cfg, quote)
+    quote = eq.minimize_writer_risk(params, contract)
+    result = check_mc_agreement(params, contract, cfg, quote)
+    p_hat, estimates, passed = whole_array_mc_moments(params, contract, cfg, quote)
+    reference = blockwise_boolean_index_moments(params, contract, cfg, quote)
 
     payoff, writer, holder = moments
     for streamed, expected in zip(moments, reference):
@@ -213,3 +227,64 @@ def test_suite_reports_every_check_when_a_round_trip_trial_has_no_vol():
     assert len(results) == 9
     failed = [r.name for r in results if not r.passed]
     assert failed == ["implied_vol_round_trip"]
+
+
+def test_property_checks_pass_on_the_reference_and_drawn_markets(ref_params, ref_contract):
+    markets = [(ref_params, ref_contract)] + [(p, c) for p, c, _ in draw_suite(24, seed=31)]
+    for params, contract in markets:
+        for check in (check_threshold_ordering, check_threshold_arg_monotonicity):
+            result = check(params, contract)
+            assert result.passed is True, (check.__name__, params, contract)
+            assert result.detail == "0 violations in 100 hedge fractions"
+
+
+def test_threshold_ordering_counts_the_hedge_fractions_with_d_prime_below_d(
+    monkeypatch, ref_params, ref_contract
+):
+    # d' drops below d wherever the premium is under its value at x = 0.5:
+    # on the reference grid (x_max > 1, so u = 1 - 1e-6) that is x = 0.51 u .. u.
+    original = eq._RiskKernel._d_prime
+    half_price = eq.fair_price(ref_params, ref_contract, 0.5)
+
+    def d_prime(kernel, price):
+        return kernel.d - 1.0 if price < half_price else original(kernel, price)
+
+    monkeypatch.setattr(eq._RiskKernel, "_d_prime", d_prime)
+    result = check_threshold_ordering(ref_params, ref_contract)
+    assert result.passed is False
+    assert result.detail == "50 violations in 100 hedge fractions"
+
+
+def test_threshold_arg_monotonicity_fails_when_the_d2_argument_falls(
+    monkeypatch, ref_params, ref_contract
+):
+    # With the premium e^{-rT} E[C(T)] (1 - x), the d2 log argument is
+    # (K - x S0 e^{rT}) / (S0 (1 - x)) + E[C(T)] / S0, whose slope has the
+    # sign of K - S0 e^{rT}: negative at the reference market, on every step.
+    def price(kernel, x):
+        return kernel.discount * kernel.expected_payoff * (1 - x)
+
+    monkeypatch.setattr(eq._RiskKernel, "price", price)
+    result = check_threshold_arg_monotonicity(ref_params, ref_contract)
+    assert result.passed is False
+    assert result.detail == "99 violations in 100 hedge fractions"
+
+
+def test_retired_contract_free_monotonicity_draws_have_no_violations():
+    # 50 draws at seed 2025 on the grid 0.01 .. min(0.99, 0.99 x_hi), which
+    # check_threshold_arg_monotonicity used while it took no market. Criterion
+    # 07 tests these draws on a grid bounded by 0.99 x_max, a different grid.
+    violating = 0
+    for params, contract, _ in draw_suite(50, seed=2025):
+        upper = min(0.99, eq._RiskKernel(params, contract).x_hi * 0.99)
+        assert upper > 0.02
+        compounding = math.exp(params.risk_free * contract.expiry)
+        xs = np.linspace(0.01, upper, 100)
+        prices = eq.fair_price(params, contract, xs)
+        dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
+        live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
+            params.spot * (1.0 - xs)
+        )
+        if np.any(np.diff(dead_call) < -1e-12) or np.any(np.diff(live_call) < -1e-12):
+            violating += 1
+    assert violating == 0
