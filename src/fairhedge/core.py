@@ -251,7 +251,8 @@ def implied_vol(params: MarketParams, contract: OptionContract, observed_price: 
             f"the bracket {NumericConfig.vol_bracket}"
         )
     # Bisect the sigma interval down to 1e-12, well below any useful
-    # tolerance; ~60 halvings of a width-5 bracket get there.
+    # tolerance; 43 halvings of the width-5 bracket get there, so an
+    # inversion prices 45 times with the two bracket checks.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         gap = price_gap(mid)

@@ -247,27 +247,16 @@ class _RiskKernel:
         )
 
 
-def fair_price(
-    params: MarketParams, contract: OptionContract, x: float | np.ndarray
-) -> float | np.ndarray:
+def fair_price(params: MarketParams, contract: OptionContract, x: float) -> float:
     """Premium equating holder's and writer's expected profits, given x shares.
 
     Affine and strictly decreasing in x (slope -S0 (e^{mu T}-e^{rT}) e^{-rT}/2).
-    x is a float, or a numpy array priced elementwise with the same bits.
 
     Raises:
-        NonpositivePrice: If the formula gives a nonpositive premium (for an
-            array, anywhere on it), which happens for deep out-of-the-money
-            contracts with large x.
+        NonpositivePrice: If the formula gives a nonpositive premium, which
+            happens for deep out-of-the-money contracts with large x.
     """
-    if not isinstance(x, np.ndarray):
-        return _RiskKernel(params, contract).fair_price(x)
-    if not np.all((x >= 0.0) & (x < 1.0)):
-        raise ValueError("hedge fractions must lie in [0, 1)")
-    prices = _RiskKernel(params, contract).price(x)
-    if not np.all(prices > 0):
-        raise NonpositivePrice("fair price is nonpositive on part of the x array; no quote exists")
-    return prices
+    return _RiskKernel(params, contract).fair_price(x)
 
 
 def price_positive_x_max(params: MarketParams, contract: OptionContract) -> float:

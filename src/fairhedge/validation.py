@@ -4,7 +4,7 @@ Each check returns a CheckResult; the CLI validate command runs them all
 and turns the outcome into an exit code. Tolerances: 1e-8 relative against
 quadrature for expectations and risks, 1e-10 for algebraic identities, and
 3.5 standard errors against Monte Carlo (the band scales automatically
-with the configured path count).
+with the configured path count). Each is defined once, below.
 """
 
 from __future__ import annotations
@@ -45,6 +45,22 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+_QUAD_TOL = 1e-8  # relative, closed form against quadrature
+_IDENTITY_TOL = 1e-10  # algebraic identities
+_MC_BAND_SE = 3.5  # Monte Carlo band, in standard errors
+
+
+def _bounded(name: str, value: float, tol: float, measured: str, ok: bool = True) -> CheckResult:
+    """Passes when value <= tol and ok; the detail is the measured text and the tolerance."""
+    return CheckResult(name, ok and value <= tol, f"{measured} (tol {tol:.0e})")
+
+
+def _in_domain(params: MarketParams, contract: OptionContract, xs) -> list[float]:
+    """The fixed hedge fractions xs that lie in the kernel's hedge domain [0, x_hi]."""
+    upper = eq._RiskKernel(params, contract).x_hi
+    return [x for x in xs if 0.0 <= x <= upper]
 
 
 def rel_err(a: float, b: float) -> float:
@@ -130,9 +146,7 @@ def check_implied_vol_round_trip(params: MarketParams, contract: OptionContract)
             detail = f"sigma {sigma}: {type(exc).__name__}: {exc}"
             return CheckResult("implied_vol_round_trip", False, detail)
         worst = max(worst, abs(recovered - sigma))
-    return CheckResult(
-        "implied_vol_round_trip", worst <= 1e-6, f"max abs err {worst:.3e} (tol 1e-06)"
-    )
+    return _bounded("implied_vol_round_trip", worst, 1e-6, f"max abs err {worst:.3e}")
 
 
 def check_price_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
@@ -149,9 +163,7 @@ def check_price_vs_quadrature(params: MarketParams, contract: OptionContract) ->
         rel_err(bs_call_price(params, contract), discount * expected_payoff(params.risk_free)),
         rel_err(expected_call_payoff_physical(params, contract), expected_payoff(params.drift)),
     )
-    return CheckResult(
-        "prices_vs_quadrature", err <= 1e-8, f"max rel err {err:.3e} (tol 1e-08)"
-    )
+    return _bounded("prices_vs_quadrature", err, _QUAD_TOL, f"max rel err {err:.3e}")
 
 
 def check_physical_parity(params: MarketParams, contract: OptionContract) -> CheckResult:
@@ -160,23 +172,16 @@ def check_physical_parity(params: MarketParams, contract: OptionContract) -> Che
     put = expected_put_payoff_physical(params, contract)
     forward = params.spot * rate_factors(params, t)[0] - contract.strike
     err = abs(call - put - forward) / max(1.0, abs(call), abs(put))
-    return CheckResult(
-        "physical_put_call_parity", err <= 1e-10, f"rel err {err:.3e} (tol 1e-10)"
-    )
+    return _bounded("physical_put_call_parity", err, _IDENTITY_TOL, f"rel err {err:.3e}")
 
 
 def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> CheckResult:
-    upper = eq._RiskKernel(params, contract).x_hi
     worst = 0.0
-    for x in (0.0, 0.25, 0.5, 0.7212, 0.99):
-        if x > upper:
-            continue
+    for x in _in_domain(params, contract, (0.0, 0.25, 0.5, 0.7212, 0.99)):
         price = eq.fair_price(params, contract, x)
         holder, writer = eq.expected_profits(params, contract, x, price)
         worst = max(worst, abs(holder - writer))
-    return CheckResult(
-        "fair_play_identity", worst <= 1e-10, f"max abs gap {worst:.3e} (tol 1e-10)"
-    )
+    return _bounded("fair_play_identity", worst, _IDENTITY_TOL, f"max abs gap {worst:.3e}")
 
 
 def _property_grid(kernel: eq._RiskKernel) -> np.ndarray:
@@ -202,7 +207,7 @@ def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContr
     """The d1 and d2 log arguments never fall by over 1e-12 between property-grid points."""
     kernel = eq._RiskKernel(params, contract)
     xs, s0, compounding = _property_grid(kernel), params.spot, kernel.compounding
-    prices = eq.fair_price(params, contract, xs)
+    prices = kernel.price(xs)
     dead_call = (xs * s0 - prices) * compounding / (s0 * xs)
     live_call = (contract.strike + (prices - xs * s0) * compounding) / (s0 * (1.0 - xs))
     falls = (np.diff(dead_call) < -1e-12) | (np.diff(live_call) < -1e-12)
@@ -236,12 +241,9 @@ def quadrature_risk(
 
 
 def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
-    upper = eq._RiskKernel(params, contract).x_hi
     worst = 0.0
     tested = 0
-    for x in (0.0, 0.25, 0.5, 0.75):
-        if x > upper:
-            continue
+    for x in _in_domain(params, contract, (0.0, 0.25, 0.5, 0.75)):
         try:
             report = eq.writer_risk(params, contract, x)
         except PricingError:
@@ -254,11 +256,8 @@ def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) ->
             rel_err(report.holder_risk, gh_q),
         )
         tested += 1
-    return CheckResult(
-        "risks_vs_quadrature",
-        tested > 0 and worst <= 1e-8,
-        f"max rel err {worst:.3e} over {tested} hedge fractions (tol 1e-08)",
-    )
+    measured = f"max rel err {worst:.3e} over {tested} hedge fractions"
+    return _bounded("risks_vs_quadrature", worst, _QUAD_TOL, measured, ok=tested > 0)
 
 
 # Paths per block of the Monte Carlo check: 256 KB of float64, so a block
@@ -272,21 +271,18 @@ def check_mc_agreement(
     mc_cfg: McConfig,
     quote: eq.EquilibriumQuote,
 ) -> CheckResult:
-    """Closed forms at the quote vs their Monte Carlo estimates, 3.5 standard errors.
+    """Closed forms at the quote vs their Monte Carlo estimates, _MC_BAND_SE standard errors.
 
     One streamed pass: each chunk of the sample is walked in blocks of
     _MC_BLOCK paths: each block's payoffs, computed once, and the positive
     writer and holder losses derived from them feed running moments, so no
-    path-sized array is made. A sample too small to give a standard error,
-    or with fewer than two positive losses for a conditional risk (so no
-    finite band), fails the check instead of raising.
+    path-sized array is made. A sample with fewer than two positive losses
+    for either conditional risk has no finite band, so the check fails,
+    naming that risk, instead of raising; this covers a sample of one path
+    and one with no positive loss.
     """
     report = quote.report
     n = mc_cfg.paths
-    if n < 2:
-        detail = f"needs at least 2 paths for a standard error; paths {n}"
-        return CheckResult("mc_agreement", False, detail)
-
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     for chunk in terminal_chunks(params, contract.expiry, mc_cfg):
         for start in range(0, chunk.size, _MC_BLOCK):
@@ -297,29 +293,23 @@ def check_mc_agreement(
             writer.add(np.compress(w_loss > 0, w_loss))
             holder.add(np.compress(h_loss > 0, h_loss))
 
-    if writer.count == 0 or holder.count == 0:
-        return CheckResult(
-            "mc_agreement", False, f"no strictly positive losses in the sample; paths {n}"
-        )
     for name, moments in (("writer_risk", writer), ("holder_risk", holder)):
         if moments.count < 2:
-            detail = f"{name} has {moments.count} positive loss; a band needs at least 2"
+            losses = "loss" if moments.count == 1 else "losses"
+            detail = f"{name} has {moments.count} positive {losses}; a band needs at least 2"
             return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
     payoff_est, w_est, h_est = payoff.estimate(), writer.estimate(), holder.estimate()
     # The writer loses on exactly the paths counted in its positive losses.
     p_hat = writer.count / n
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    gaps = [
-        (
-            "expected_call",
-            abs(expected_call_payoff_physical(params, contract) - payoff_est.mean),
-            3.5 * payoff_est.std_error,
-        ),
-        ("loss_prob", abs(report.loss_prob - p_hat), 3.5 * p_se),
-        ("writer_risk", abs(report.writer_risk - w_est.mean), 3.5 * w_est.std_error),
-        ("holder_risk", abs(report.holder_risk - h_est.mean), 3.5 * h_est.std_error),
+    expected_call = expected_call_payoff_physical(params, contract)
+    measured = [
+        ("expected_call", abs(expected_call - payoff_est.mean), payoff_est.std_error),
+        ("loss_prob", abs(report.loss_prob - p_hat), p_se),
+        ("writer_risk", abs(report.writer_risk - w_est.mean), w_est.std_error),
+        ("holder_risk", abs(report.holder_risk - h_est.mean), h_est.std_error),
     ]
-
+    gaps = [(name, gap, _MC_BAND_SE * se) for name, gap, se in measured]
     passed = all(gap <= band for _, gap, band in gaps)
     detail = "; ".join(f"{name} gap {gap:.2e} (band {band:.2e})" for name, gap, band in gaps)
     return CheckResult("mc_agreement", passed, f"{detail}; paths {n}")
@@ -328,20 +318,13 @@ def check_mc_agreement(
 def check_quote_grid_consistency(
     params: MarketParams, contract: OptionContract, quote: eq.EquilibriumQuote
 ) -> CheckResult:
-    upper = eq._RiskKernel(params, contract).x_hi
     best = quote.report.writer_risk
     worst_drop = 0.0
     step = NumericConfig.minimizer_grid
-    for x in (quote.x_star - step, quote.x_star + step):
-        if 0.0 <= x <= upper:
-            worst_drop = max(
-                worst_drop, best - eq.writer_risk(params, contract, x).writer_risk
-            )
-    return CheckResult(
-        "quote_grid_consistency",
-        worst_drop <= 1e-9,
-        f"x_star {quote.x_star:.6f}; neighbor improvement {worst_drop:.3e} (tol 1e-09)",
-    )
+    for x in _in_domain(params, contract, (quote.x_star - step, quote.x_star + step)):
+        worst_drop = max(worst_drop, best - eq.writer_risk(params, contract, x).writer_risk)
+    measured = f"x_star {quote.x_star:.6f}; neighbor improvement {worst_drop:.3e}"
+    return _bounded("quote_grid_consistency", worst_drop, 1e-9, measured)
 
 
 def run_all_checks(

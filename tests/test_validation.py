@@ -7,14 +7,16 @@ and streamed versions give the values of the step-by-step, whole-array ones
 (the streamed moments bit for bit those of a block-wise boolean-index
 pass), and that a sample too small for a finite Monte Carlo band, or a
 trial price with no implied vol, fails its check instead of raising or
-passing. The two threshold property checks test the caller's market on a
-100-point hedge grid and fail, with a count, when a cut point is out of
-order or a log argument falls.
+passing. Each tolerance-bounded check passes at half its tolerance and
+fails at twice it, with its exact detail text. The two threshold property
+checks test the caller's market on a 100-point hedge grid and fail, with a
+count, when a cut point is out of order or a log argument falls.
 """
 
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,14 +33,83 @@ from fairhedge import (
 )
 from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 from fairhedge.validation import (
+    check_fair_play_identity,
     check_implied_vol_round_trip,
     check_mc_agreement,
+    check_physical_parity,
+    check_price_vs_quadrature,
+    check_quote_grid_consistency,
+    check_risks_vs_quadrature,
     check_threshold_arg_monotonicity,
     check_threshold_ordering,
     draw_suite,
     quadrature_risk,
     run_all_checks,
 )
+
+
+# Patches that set a tolerance-bounded check's measured value to `value`, up to rounding.
+def drive_rel_err(monkeypatch, value, quote):
+    monkeypatch.setattr(validation, "rel_err", lambda a, b: value)
+
+
+def drive_implied_vol(monkeypatch, value, quote):
+    monkeypatch.setattr(
+        validation, "implied_vol", lambda params, contract, price: params.volatility + value
+    )
+
+
+def drive_parity(monkeypatch, value, quote):
+    put = validation.expected_put_payoff_physical
+
+    def shifted(params, contract):
+        call = validation.expected_call_payoff_physical(params, contract)
+        exact = put(params, contract)
+        return exact - value * max(1.0, abs(call), abs(exact))
+
+    monkeypatch.setattr(validation, "expected_put_payoff_physical", shifted)
+
+
+def drive_profits(monkeypatch, value, quote):
+    monkeypatch.setattr(eq, "expected_profits", lambda p, c, x, price: (1.0, 1.0 + value))
+
+
+def drive_neighbor(monkeypatch, value, quote):
+    original, best = eq.writer_risk, quote.report.writer_risk
+    monkeypatch.setattr(
+        eq, "writer_risk", lambda p, c, x: replace(original(p, c, x), writer_risk=best - value)
+    )
+
+
+# Each check by name: the check, its patch, its tolerance and the detail a value gives.
+TOLERANCE_CHECKS = {
+    "implied_vol_round_trip": (check_implied_vol_round_trip, drive_implied_vol, 1e-6,
+                               "max abs err {:.3e} (tol 1e-06)"),
+    "prices_vs_quadrature": (check_price_vs_quadrature, drive_rel_err, 1e-8,
+                             "max rel err {:.3e} (tol 1e-08)"),
+    "physical_put_call_parity": (check_physical_parity, drive_parity, 1e-10,
+                                 "rel err {:.3e} (tol 1e-10)"),
+    "fair_play_identity": (check_fair_play_identity, drive_profits, 1e-10,
+                           "max abs gap {:.3e} (tol 1e-10)"),
+    "risks_vs_quadrature": (check_risks_vs_quadrature, drive_rel_err, 1e-8,
+                            "max rel err {:.3e} over 4 hedge fractions (tol 1e-08)"),
+    "quote_grid_consistency": (check_quote_grid_consistency, drive_neighbor, 1e-9,
+                               "neighbor improvement {:.3e} (tol 1e-09)"),
+}
+
+
+@pytest.mark.parametrize("name", list(TOLERANCE_CHECKS))
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (2.0, False)])
+def test_tolerance_checks_pass_at_half_and_fail_at_twice_their_tolerance(
+    monkeypatch, ref_params, ref_contract, name, factor, passed
+):
+    check, drive, tol, suffix = TOLERANCE_CHECKS[name]
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
+    drive(monkeypatch, factor * tol, quote)
+    args = (quote,) if check is check_quote_grid_consistency else ()
+    result = check(ref_params, ref_contract, *args)
+    assert (result.name, result.passed) == (name, passed)
+    assert result.detail.endswith(suffix.format(factor * tol)), result.detail
 
 
 def quadrature_risk_by_four_rules(params, contract, x, price):
@@ -90,7 +161,7 @@ def test_single_path_fails_mc_check_without_warnings(ref_params, ref_contract):
         result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=1), quote)
     assert result.name == "mc_agreement"
     assert not result.passed
-    assert "at least 2 paths" in result.detail
+    assert result.detail == "writer_risk has 1 positive loss; a band needs at least 2; paths 1"
 
 
 def test_no_writer_losses_fail_mc_check(monkeypatch, ref_params, ref_contract):
@@ -101,7 +172,7 @@ def test_no_writer_losses_fail_mc_check(monkeypatch, ref_params, ref_contract):
         warnings.simplefilter("error")
         result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=16), quote)
     assert not result.passed
-    assert "no strictly positive losses" in result.detail
+    assert result.detail == "writer_risk has 0 positive losses; a band needs at least 2; paths 16"
 
 
 def test_single_positive_loss_fails_mc_check(ref_params, ref_contract):
@@ -111,6 +182,28 @@ def test_single_positive_loss_fails_mc_check(ref_params, ref_contract):
     result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=3, seed=0), quote)
     assert not result.passed
     assert result.detail == "writer_risk has 1 positive loss; a band needs at least 2; paths 3"
+
+
+@pytest.mark.parametrize(
+    "terminal, detail",
+    [
+        ([200.0, 250.0, 100.0],
+         "holder_risk has 1 positive loss; a band needs at least 2; paths 3"),
+        ([200.0, 250.0], "holder_risk has 0 positive losses; a band needs at least 2; paths 2"),
+    ],
+    ids=["one_holder_loss", "no_holder_loss"],
+)
+def test_too_few_holder_losses_fail_mc_check(
+    monkeypatch, ref_params, ref_contract, terminal, detail
+):
+    # At the reference quote the writer loses when S(T) is far above the
+    # strike, and only the holder loses at S(T) = 100.
+    monkeypatch.setattr(validation, "terminal_chunks", lambda *args: iter([np.array(terminal)]))
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_mc_agreement(ref_params, ref_contract, McConfig(paths=len(terminal)), quote)
+    assert (result.passed, result.detail) == (False, detail)
 
 
 def whole_array_mc_moments(params, contract, cfg, quote):
@@ -280,7 +373,7 @@ def test_retired_contract_free_monotonicity_draws_have_no_violations():
         assert upper > 0.02
         compounding = math.exp(params.risk_free * contract.expiry)
         xs = np.linspace(0.01, upper, 100)
-        prices = eq.fair_price(params, contract, xs)
+        prices = eq._RiskKernel(params, contract).price(xs)
         dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
         live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
             params.spot * (1.0 - xs)
