@@ -11,7 +11,8 @@ closed form built from the standard normal CDF:
 - bs_call_price:    risk-neutral Black-Scholes call price
 - expected_call_payoff_physical / expected_put_payoff_physical:
                     undiscounted expected payoffs under the drift-mu measure
-- implied_vol:      bisection inversion of bs_call_price in sigma
+- implied_vol:      inversion of bs_call_price in sigma, by safeguarded Newton
+                    on the price of the out-of-the-money option
 
 Rates are annual with continuous compounding; times are in years.
 """
@@ -19,7 +20,7 @@ Rates are annual with continuous compounding; times are in years.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BracketExhausted, DegenerateMarket, PriceOutOfBounds
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _check_finite(record, names: tuple[str, ...]) -> None:
@@ -100,7 +102,8 @@ class NumericConfig:
     A read-only record: it takes no arguments and its instances hold no state.
 
     Attributes:
-        vol_bracket: Volatility interval searched by the implied-vol solver.
+        vol_bracket: Volatility interval that brackets the implied-vol solver's
+            Newton iteration; a root outside it raises BracketExhausted.
         minimizer_grid: Step of the coarse scan bracketing the risk minimum.
         minimizer_tol: Width tolerance of the golden-section refinement.
     """
@@ -213,11 +216,98 @@ def expected_put_payoff_physical(params: MarketParams, contract: OptionContract)
     return contract.strike * std_normal_cdf(-d_minus) - params.spot * growth * std_normal_cdf(-d_plus)
 
 
-def implied_vol(params: MarketParams, contract: OptionContract, observed_price: float) -> float:
-    """Volatility at which the Black-Scholes price matches observed_price.
+def _otm_price_vega(spot: float, strike_pv: float, sig_sqrt_t: float) -> tuple[float, float]:
+    """Out-of-the-money Black-Scholes price and its derivative in sigma sqrt(T).
 
-    The call price is strictly increasing in sigma, so plain bisection over
-    NumericConfig.vol_bracket is guaranteed to converge once the root is bracketed.
+    The option is the put when strike_pv = K e^{-rT} < S0, else the call; it
+    is priced directly, not through put-call parity, so its price keeps full
+    relative precision however deep in the money the call is. The derivative
+    S0 phi(d+) is the same for both.
+    """
+    d_plus = math.log(spot / strike_pv) / sig_sqrt_t + 0.5 * sig_sqrt_t
+    d_minus = d_plus - sig_sqrt_t
+    if strike_pv < spot:
+        price = strike_pv * std_normal_cdf(-d_minus) - spot * std_normal_cdf(-d_plus)
+    else:
+        price = spot * std_normal_cdf(d_plus) - strike_pv * std_normal_cdf(d_minus)
+    return price, spot * math.exp(-0.5 * d_plus * d_plus) / _SQRT_2PI
+
+
+def _otm_price(params: MarketParams, contract: OptionContract) -> float:
+    """Black-Scholes price of the out-of-the-money option (see _otm_price_vega)."""
+    strike_pv = contract.strike * rate_factors(params, contract.expiry)[2]
+    sig_sqrt_t = _sig_sqrt_t(params.volatility, contract.expiry)
+    return _otm_price_vega(params.spot, strike_pv, sig_sqrt_t)[0]
+
+
+def _implied_vol_otm(params: MarketParams, contract: OptionContract, otm_price: float) -> float:
+    """Volatility at which the out-of-the-money price (see _otm_price_vega) is otm_price.
+
+    A safeguarded Newton iteration on log(price) (Numerical Recipes'
+    rtsafe), started from Corrado and Miller's closed-form estimate: a
+    Newton step that leaves the bracket, or is not at most half the
+    previous step, is replaced by a bisection of the bracket. The iteration
+    stops at a step under 1e-12 in sigma.
+
+    Raises:
+        PriceOutOfBounds: If otm_price is not positive, so no implied
+            volatility exists.
+        BracketExhausted: If the root lies outside NumericConfig.vol_bracket.
+    """
+    if not otm_price > 0.0:
+        raise PriceOutOfBounds(f"out-of-the-money price {otm_price} is not positive")
+    spot, sqrt_t = params.spot, math.sqrt(contract.expiry)
+    strike_pv = contract.strike * rate_factors(params, contract.expiry)[2]
+    lo, hi = NumericConfig.vol_bracket
+    if (
+        _otm_price_vega(spot, strike_pv, lo * sqrt_t)[0] > otm_price
+        or _otm_price_vega(spot, strike_pv, hi * sqrt_t)[0] < otm_price
+    ):
+        option = "put" if strike_pv < spot else "call"
+        raise BracketExhausted(
+            f"implied vol for out-of-the-money {option} price {otm_price} lies outside "
+            f"the bracket {NumericConfig.vol_bracket}"
+        )
+    # Corrado-Miller in out-of-the-money terms; the square root is dropped
+    # where its argument is negative (deep out of the money).
+    moneyness = abs(spot - strike_pv)
+    half = otm_price + 0.5 * moneyness
+    root = math.sqrt(max(half * half - moneyness * moneyness / math.pi, 0.0))
+    guess = _SQRT_2PI * (half + root) / ((spot + strike_pv) * sqrt_t)
+    sigma = min(max(guess, lo), hi)
+    log_target, last_step = math.log(otm_price), hi - lo
+    # Newton steps shrink at least geometrically and each bisection halves
+    # the bracket, so the loop ends long before its cap; a root typically
+    # takes four or five prices after the two bracket ends.
+    for _ in range(200):
+        price, vega = _otm_price_vega(spot, strike_pv, sigma * sqrt_t)
+        if price < otm_price:
+            lo = sigma
+        else:
+            hi = sigma
+        # d log(price) / d sigma = vega sqrt(T) / price; a price or vega
+        # that underflows to zero, or a step that overflows, forces a bisection.
+        if price > 0.0 and vega > 0.0:
+            step = (math.log(price) - log_target) * (price / vega) / sqrt_t
+        else:
+            step = math.inf
+        if not (lo <= sigma - step <= hi and abs(step) <= 0.5 * abs(last_step)):
+            step = sigma - 0.5 * (lo + hi)
+        sigma -= step
+        last_step = step
+        if abs(step) <= 1e-12:
+            break
+    return sigma
+
+
+def implied_vol(params: MarketParams, contract: OptionContract, observed_price: float) -> float:
+    """Volatility at which the Black-Scholes call price matches observed_price.
+
+    Inverts the out-of-the-money option (_implied_vol_otm): the call itself
+    when K e^{-rT} >= S0, else the put, whose price observed_price - (S0 -
+    K e^{-rT}) follows by put-call parity. The out-of-the-money price is
+    strictly increasing in sigma and keeps full relative precision in its
+    tail, where an in-the-money call price sits on its intrinsic floor.
 
     Args:
         params: Market environment (its volatility field is ignored).
@@ -240,28 +330,4 @@ def implied_vol(params: MarketParams, contract: OptionContract, observed_price: 
             f"price {observed_price} outside the no-arbitrage interval "
             f"({lower}, {params.spot})"
         )
-
-    def price_gap(sigma: float) -> float:
-        return bs_call_price(replace(params, volatility=sigma), contract) - observed_price
-
-    lo, hi = NumericConfig.vol_bracket
-    if price_gap(lo) > 0 or price_gap(hi) < 0:
-        raise BracketExhausted(
-            f"implied vol for price {observed_price} lies outside "
-            f"the bracket {NumericConfig.vol_bracket}"
-        )
-    # Bisect the sigma interval down to 1e-12, well below any useful
-    # tolerance; 43 halvings of the width-5 bracket get there, so an
-    # inversion prices 45 times with the two bracket checks.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap = price_gap(mid)
-        if gap == 0.0:
-            return mid
-        if gap < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return _implied_vol_otm(params, contract, observed_price - lower)

@@ -24,8 +24,9 @@ from .core import (
     d_plus_minus,
     expected_call_payoff_physical,
     expected_put_payoff_physical,
-    implied_vol,
     rate_factors,
+    _implied_vol_otm,
+    _otm_price,
 )
 from .errors import PricingError
 from .oracle import (
@@ -134,15 +135,19 @@ def draw_suite(
         yield params, contract, x
 
 
+_ROUND_TRIP_SIGMAS = (0.05, 0.1, 0.2, 0.4, 1.0)
+
+
 def check_implied_vol_round_trip(params: MarketParams, contract: OptionContract) -> CheckResult:
+    """Each trial sigma's out-of-the-money price, inverted by the implied-vol solver."""
     worst = 0.0
-    for sigma in (0.05, 0.1, 0.2, 0.4, 1.0):
+    for sigma in _ROUND_TRIP_SIGMAS:
         trial = replace(params, volatility=sigma)
         try:
-            recovered = implied_vol(trial, contract, bs_call_price(trial, contract))
+            recovered = _implied_vol_otm(trial, contract, _otm_price(trial, contract))
         except PricingError as exc:
-            # A deep in-the-money trial can price exactly at its intrinsic
-            # bound, where no implied vol exists: the round trip fails.
+            # A deep out-of-the-money trial price can underflow to zero,
+            # where no implied vol exists: the round trip fails.
             detail = f"sigma {sigma}: {type(exc).__name__}: {exc}"
             return CheckResult("implied_vol_round_trip", False, detail)
         worst = max(worst, abs(recovered - sigma))

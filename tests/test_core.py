@@ -7,10 +7,16 @@ against mpmath evaluated at 30 digits.
 """
 
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairhedge.core as core
+import fairhedge.equilibrium as eq
 
 from fairhedge import (
     BracketExhausted,
@@ -25,9 +31,15 @@ from fairhedge import (
     implied_vol,
     quad_expectation,
     std_normal_cdf,
+    volatility_smile,
 )
-from fairhedge.core import expected_put_payoff_physical, rate_factors
-from fairhedge.validation import draw_suite
+from fairhedge.core import (
+    _implied_vol_otm,
+    _otm_price,
+    expected_put_payoff_physical,
+    rate_factors,
+)
+from fairhedge.validation import _ROUND_TRIP_SIGMAS, draw_suite
 
 # Quadrature-derived values for the reference scenario, frozen from the
 # oracle below (rel err of the closed forms against it is asserted too).
@@ -333,3 +345,52 @@ class TestImpliedVol:
         vol = implied_vol(ref_params, ref_contract, 12.10)
         reproduced = bs_call_price(replace(ref_params, volatility=vol), ref_contract)
         assert abs(reproduced - 12.10) <= 1e-9
+
+    def test_smile_inversions_take_few_prices(self, monkeypatch):
+        # 45 is the price count of a bisection down to a 1e-12 wide interval.
+        counts, prices = [], [0]
+        pricer, invert = core._otm_price_vega, eq.implied_vol
+
+        def counted_pricer(*args):
+            prices[0] += 1
+            return pricer(*args)
+
+        def recorded_invert(*args):
+            prices[0] = 0
+            vol = invert(*args)
+            counts.append(prices[0])
+            return vol
+
+        monkeypatch.setattr(core, "_otm_price_vega", counted_pricer)
+        monkeypatch.setattr(eq, "implied_vol", recorded_invert)
+        for params, contract, _ in draw_suite(24):
+            strikes = (params.spot * np.linspace(0.5, 1.5, 50)).tolist()
+            volatility_smile(params, strikes, contract.expiry)
+        assert len(counts) > 24 * 40
+        assert statistics.median(counts) <= 8
+        assert max(counts) <= 45
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    spot=st.floats(50.0, 200.0),
+    moneyness=st.floats(0.5, 1.5),
+    risk_free=st.floats(0.0, 0.08),
+    expiry=st.floats(0.1, 3.0),
+    sigma=st.sampled_from(_ROUND_TRIP_SIGMAS),
+)
+def test_out_of_the_money_round_trip_over_the_drawn_domain(
+    spot, moneyness, risk_free, expiry, sigma
+):
+    """draw_suite's market ranges x the round-trip check's trial sigmas.
+
+    The drift does not enter a price, so it is fixed inside draw_suite's range.
+    """
+    params = MarketParams(spot, risk_free + 0.1, sigma, risk_free)
+    contract = OptionContract(strike=spot * moneyness, expiry=expiry)
+    price = _otm_price(params, contract)
+    if price == 0.0:
+        with pytest.raises(PriceOutOfBounds):
+            _implied_vol_otm(params, contract, price)
+    else:
+        assert abs(_implied_vol_otm(params, contract, price) - sigma) <= 1e-10

@@ -6,9 +6,11 @@ streams its sample through running moments. These tests pin that the shared
 and streamed versions give the values of the step-by-step, whole-array ones
 (the streamed moments bit for bit those of a block-wise boolean-index
 pass), and that a sample too small for a finite Monte Carlo band, or a
-trial price with no implied vol, fails its check instead of raising or
-passing. Each tolerance-bounded check passes at half its tolerance and
-fails at twice it, with its exact detail text. The two threshold property
+trial whose out-of-the-money price underflows to zero, fails its check
+instead of raising or passing, while a trial call priced at its intrinsic
+bound round-trips through its out-of-the-money put. Each
+tolerance-bounded check passes at half its tolerance and fails at twice
+it, with its exact detail text. The two threshold property
 checks test the caller's market on a 100-point hedge grid and fail, with a
 count, when a cut point is out of order or a log argument falls.
 """
@@ -27,10 +29,12 @@ from fairhedge import (
     MarketParams,
     McConfig,
     OptionContract,
+    bs_call_price,
     expected_call_payoff_physical,
     quad_expectation,
     simulate_terminal,
 )
+from fairhedge.core import rate_factors
 from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 from fairhedge.validation import (
     check_fair_play_identity,
@@ -55,7 +59,7 @@ def drive_rel_err(monkeypatch, value, quote):
 
 def drive_implied_vol(monkeypatch, value, quote):
     monkeypatch.setattr(
-        validation, "implied_vol", lambda params, contract, price: params.volatility + value
+        validation, "_implied_vol_otm", lambda params, contract, price: params.volatility + value
     )
 
 
@@ -301,22 +305,46 @@ def test_mc_check_holds_no_path_sized_array(ref_params, ref_contract):
     assert peak < 6e6
 
 
-# A deep in-the-money call whose sigma = 0.05 trial prices exactly at its
-# intrinsic bound, so that trial has no implied vol.
+# A deep in-the-money call whose sigma = 0.05 trial call price sits exactly
+# at its intrinsic bound; the trial's out-of-the-money put keeps its price.
 BOUND_PRICED = (
     MarketParams(spot=128.3211, drift=0.0612, volatility=0.5394, risk_free=0.0129),
     OptionContract(strike=66.2214, expiry=2.6403),
 )
+# A deeper, shorter call whose sigma = 0.05 trial put price underflows to
+# 0.0, so that trial has no implied vol.
+ZERO_PRICED = (
+    MarketParams(spot=68.6939, drift=0.152, volatility=0.5199, risk_free=0.0055),
+    OptionContract(strike=34.7019, expiry=0.1251),
+)
 
 
-def test_trial_price_at_its_bound_fails_the_round_trip_check():
-    result = check_implied_vol_round_trip(*BOUND_PRICED)
+def test_trial_price_at_its_call_bound_passes_the_round_trip_check():
+    params, contract = BOUND_PRICED
+    trial = replace(params, volatility=0.05)
+    discount = rate_factors(params, contract.expiry)[2]
+    assert bs_call_price(trial, contract) <= params.spot - contract.strike * discount
+    recovered = validation._implied_vol_otm(trial, contract, validation._otm_price(trial, contract))
+    assert abs(recovered - 0.05) <= 1e-6
+    assert check_implied_vol_round_trip(*BOUND_PRICED).passed
+
+
+def test_suite_passes_every_check_when_a_round_trip_trial_sits_at_its_call_bound():
+    results = run_all_checks(*BOUND_PRICED, mc_cfg=McConfig(paths=20_000))
+    assert len(results) == 9
+    assert [r.name for r in results if not r.passed] == []
+
+
+def test_trial_with_zero_out_of_the_money_price_fails_the_round_trip_check():
+    params, contract = ZERO_PRICED
+    assert validation._otm_price(replace(params, volatility=0.05), contract) == 0.0
+    result = check_implied_vol_round_trip(*ZERO_PRICED)
     assert not result.passed
-    assert result.detail.startswith("sigma 0.05: PriceOutOfBounds: price ")
+    assert result.detail.startswith("sigma 0.05: PriceOutOfBounds: ")
 
 
 def test_suite_reports_every_check_when_a_round_trip_trial_has_no_vol():
-    results = run_all_checks(*BOUND_PRICED, mc_cfg=McConfig(paths=20_000))
+    results = run_all_checks(*ZERO_PRICED, mc_cfg=McConfig(paths=20_000))
     assert len(results) == 9
     failed = [r.name for r in results if not r.passed]
     assert failed == ["implied_vol_round_trip"]
