@@ -9,6 +9,8 @@ JSON (full precision) to stdout or --out. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from .validation import run_all_checks
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
-SMILE_CSV_HEADER = "strike,price,x_star,writer_risk,holder_risk,loss_prob,implied_vol"
+SMILE_CSV_HEADER = "strike,price,x_star,writer_risk,holder_risk,loss_prob,implied_vol,error"
 # Most Monte Carlo paths a config may ask for: validate streams about 2e7
 # paths/s on one core of a 2-core x86-64 VM, so 10**9 paths take under a minute.
 MAX_PATHS = 10**9
@@ -219,10 +221,11 @@ def _json_cell(value):
 
 
 def _render(rows: list[dict], header: list[str], fmt: str, json_extra: Sequence[str] = ()) -> str:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_csv_cell(row.get(col)) for col in header) for row in rows]
-        return "\n".join(lines) + "\n"
+    if fmt == "csv":  # quoted by the csv module's rules: error messages may hold commas
+        out = io.StringIO()
+        table = [header] + [[_csv_cell(row.get(col)) for col in header] for row in rows]
+        csv.writer(out, lineterminator="\n").writerows(table)
+        return out.getvalue()
     keys = list(header) + [k for k in json_extra if k not in header]
     payload = [{k: _json_cell(row.get(k)) for k in keys} for row in rows]
     return json.dumps(payload[0] if len(payload) == 1 and not json_extra else payload, indent=2) + "\n"

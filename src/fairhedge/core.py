@@ -104,8 +104,8 @@ class NumericConfig:
     Attributes:
         vol_bracket: Volatility interval that brackets the implied-vol solver's
             Newton iteration; a root outside it raises BracketExhausted.
-        minimizer_grid: Step of the coarse scan bracketing the risk minimum.
-        minimizer_tol: Width tolerance of the golden-section refinement.
+        minimizer_grid: Step of the coarse scan that the refinement starts from.
+        minimizer_tol: The refinement halves its step until it is at most half this.
     """
 
     __slots__ = ()

@@ -75,9 +75,6 @@ MAX_HEDGE_FRACTION = 1.0 - 1e-6
 # cut points collapse (d == d2 == d') and their strict ordering is lost.
 _PREMIUM_FLOOR = 1e-8
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
 
 @dataclass(frozen=True, slots=True)
 class RiskThresholds:
@@ -372,36 +369,14 @@ def holder_loss(
     return _realized_losses(params, contract, 0.0, price, terminal)[2]
 
 
-def _golden_section(objective, lo: float, hi: float, tol: float) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]; returns the midpoint."""
-    width = hi - lo
-    if width <= tol:
-        return 0.5 * (lo + hi)
-    a = lo + _INV_PHI_SQ * width
-    b = lo + _INV_PHI * width
-    f_a, f_b = objective(a), objective(b)
-    steps = int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
-    for _ in range(steps - 1):
-        if f_a < f_b:
-            hi, b, f_b = b, a, f_a
-            width *= _INV_PHI
-            a = lo + _INV_PHI_SQ * width
-            f_a = objective(a)
-        else:
-            lo, a, f_a = a, b, f_b
-            width *= _INV_PHI
-            b = lo + _INV_PHI * width
-            f_b = objective(b)
-    return 0.5 * (lo + hi)
-
-
 def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> EquilibriumQuote:
     """Hedge fraction minimizing the writer's risk, and the premium it implies.
 
-    A coarse scan with step NumericConfig.minimizer_grid brackets the minimum
-    over the kernel's hedge domain [0, x_hi], where the fair price is
-    positive and x <= 1 - 1e-6; golden-section then refines it to
-    NumericConfig.minimizer_tol. Scan ties break toward the smaller x.
+    A scan with step NumericConfig.minimizer_grid covers the hedge domain
+    [0, x_hi], where the fair price is positive and x <= 1 - 1e-6. Compass
+    steps then try x* +- step inside it, halving the step until it is at most
+    NumericConfig.minimizer_tol / 2. Every comparison keeps the lowest
+    (risk, x) pair, so ties go to the smaller x and x* is an evaluated point.
 
     Raises:
         EmptyDomain: If the expected payoff is below the premium floor, 1e-8
@@ -424,17 +399,12 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
     grid = [i * step for i in range(int(hi / step) + 1)]
     if grid[-1] < hi:
         grid.append(hi)
-    values = [risk_at(x) for x in grid]
-    best = min(range(len(grid)), key=lambda i: (values[i], grid[i]))
-
-    bracket_lo = grid[best - 1] if best > 0 else grid[0]
-    bracket_hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
-    refined = _golden_section(risk_at, bracket_lo, bracket_hi, NumericConfig.minimizer_tol)
-
-    x_star, value = grid[best], values[best]
-    refined_value = risk_at(refined)
-    if refined_value < value or (refined_value == value and refined < x_star):
-        x_star = refined
+    best = min((risk_at(x), x) for x in grid)
+    while step > NumericConfig.minimizer_tol / 2:
+        step /= 2
+        centre = best[1]
+        best = min([best] + [(risk_at(x), x) for x in (centre - step, centre + step) if 0 <= x <= hi])
+    x_star = best[1]
     report = kernel.report(x_star)
     return EquilibriumQuote(x_star=x_star, price=report.fair_price, report=report)
 

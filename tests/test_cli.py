@@ -4,6 +4,7 @@ Commands run in a subprocess so exit codes, stdout/stderr separation and
 output files are exercised exactly as a user sees them.
 """
 
+import csv
 import dataclasses
 import json
 import subprocess
@@ -250,6 +251,18 @@ class TestSmileCommand:
         result = run_cli("smile", *EX_ARGS, "--strikes", "110,90,100")
         _, rows = csv_rows(result.stdout)
         assert [float(r["strike"]) for r in rows] == [110.0, 90.0, 100.0]
+
+    def test_csv_row_of_an_unquotable_strike_carries_its_error(self):
+        # sigma = 2 over 5 years quotes a premium above spot; the message holds commas.
+        args = ["--s0", "100", "--mu", "0.1", "--sigma", "2", "--r", "0.05", "--t", "5",
+                "--strikes", "100"]
+        result = run_cli("smile", *args)
+        assert result.returncode == 0, result.stderr
+        header, row = list(csv.reader(result.stdout.splitlines()))
+        assert header == SMILE_CSV_HEADER.split(",") and header[-1] == "error"
+        assert row[1:-1] == ["nan"] * 6
+        assert row[-1].startswith("PriceOutOfBounds: price 111.678")
+        assert row[-1] == json.loads(run_cli("smile", *args, "--format", "json").stdout)[0]["error"]
 
     def test_json_carries_error_field(self):
         result = run_cli("smile", "--s0", "100", "--mu", "0.10", "--sigma", "0.2",

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fairhedge import (
+    DegenerateLoss,
     DegenerateMarket,
     DomainError,
     EmptyDomain,
@@ -20,6 +21,7 @@ from fairhedge import (
     MarketParams,
     McConfig,
     NonpositivePrice,
+    NumericConfig,
     OptionContract,
     PricingError,
     expected_call_payoff_physical,
@@ -206,6 +208,10 @@ class TestRiskThresholds:
             assert th.d < th.d2
             assert th.d < th.d_prime
 
+    def test_nonpositive_price_rejected(self, ref_params, ref_contract):
+        with pytest.raises(ValueError, match=r"^price must be positive, got 0\.0$"):
+            risk_thresholds(ref_params, ref_contract, 0.5, 0.0)
+
     def test_domain_error_on_underpriced_hedged_book(self, ref_params):
         # A price far below fair with a big stock position pushes the d2
         # log argument negative.
@@ -283,6 +289,13 @@ class TestWriterRisk:
             assert float(writer_loss(ref_params, ref_contract, 0.7212, 12.1, s)) == w
             assert float(holder_loss(ref_params, ref_contract, 12.1, s)) == h
 
+    def test_underflowed_loss_probability_raises(self):
+        # Unhedged, the writer loses only above d2 = 39, and N(-39) ~ 1e-333 underflows to 0.
+        params = MarketParams(spot=100.0, drift=0.1, volatility=1.0, risk_free=0.05)
+        contract = OptionContract(strike=100.0 * math.exp(38.6), expiry=1.0)
+        with pytest.raises(DegenerateLoss, match="underflowed to zero at x=0.0"):
+            writer_risk(params, contract, 0.0)
+
 
 class TestHolderRisk:
     def test_reference_value_against_quadrature(self, ref_params, ref_contract):
@@ -344,6 +357,71 @@ class TestMinimizeWriterRisk:
         contract = OptionContract(strike=100.0, expiry=1.0)
         with pytest.raises(EmptyDomain, match="below 1e-08 of spot"):
             minimize_writer_risk(params, contract)
+
+
+class TestCompassRefinement:
+    """The best scan point, refined by compass steps that halve down to minimizer_tol / 2."""
+
+    LAST_STEP = NumericConfig.minimizer_grid / 2**11
+
+    @staticmethod
+    def risk_at(kernel, x):
+        try:
+            return kernel.writer_terms(x)[6]
+        except PricingError:
+            return math.inf
+
+    def test_quote_beats_its_grid_and_both_last_step_neighbours(self, ref_params, ref_contract):
+        markets = [(ref_params, ref_contract)]
+        markets += [(params, contract) for params, contract, _ in draw_suite(24, seed=31)]
+        step = NumericConfig.minimizer_grid
+        for params, contract in markets:
+            quote = minimize_writer_risk(params, contract)
+            kernel = equilibrium._RiskKernel(params, contract)
+            hi = kernel.x_hi
+            grid = [i * step for i in range(int(hi / step) + 1)] + [hi]
+            assert quote.report.writer_risk <= min(self.risk_at(kernel, x) for x in grid)
+            for x in (quote.x_star - self.LAST_STEP, quote.x_star + self.LAST_STEP):
+                if 0.0 <= x <= hi:
+                    assert quote.report.writer_risk <= self.risk_at(kernel, x), (params, contract)
+
+    def test_reference_quote_evaluates_the_writer_terms_1024_times(
+        self, ref_params, ref_contract, monkeypatch
+    ):
+        # 1,001 scan points (1e-3 grid plus x_hi), 2 per halving level for 11 levels, 1 report.
+        calls = []
+        writer_terms = equilibrium._RiskKernel.writer_terms
+
+        def counted(kernel, x):
+            calls.append(x)
+            return writer_terms(kernel, x)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", counted)
+        minimize_writer_risk(ref_params, ref_contract)
+        assert len(calls) == 1024
+
+    def test_a_flat_risk_is_quoted_at_zero(self, ref_params, ref_contract, monkeypatch):
+        writer_terms = equilibrium._RiskKernel.writer_terms
+
+        def flat(kernel, x):
+            return (*writer_terms(kernel, x)[:6], 1.0)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", flat)
+        assert minimize_writer_risk(ref_params, ref_contract).x_star == 0.0
+
+    def test_a_pricing_error_is_never_quoted(self, ref_params, ref_contract, monkeypatch):
+        # The unpatched quote is x* = 0.7212; a raising band around it counts as infinite risk.
+        writer_terms = equilibrium._RiskKernel.writer_terms
+
+        def failing_band(kernel, x):
+            if 0.70 <= x <= 0.74:
+                raise DegenerateLoss(f"band at x={x}")
+            return writer_terms(kernel, x)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", failing_band)
+        quote = minimize_writer_risk(ref_params, ref_contract)
+        assert not 0.70 <= quote.x_star <= 0.74
+        assert math.isfinite(quote.report.writer_risk)
 
 
 class TestScanObjective:
@@ -501,6 +579,10 @@ class TestRevalueAtTime:
     def test_negative_time_rejected(self, ref_params, ref_contract):
         with pytest.raises(ValueError, match="time"):
             revalue_at_time(ref_params, ref_contract, -0.1, 100.0)
+
+    def test_nonpositive_spot_rejected(self, ref_params, ref_contract):
+        with pytest.raises(ValueError, match=r"^spot_at_t must be positive, got 0\.0$"):
+            revalue_at_time(ref_params, ref_contract, 0.5, 0.0)
 
 
 class TestSuiteProperties:
