@@ -12,6 +12,7 @@ verify them independently.
 
 from .core import (
     MarketParams,
+    McConfig,
     NumericConfig,
     OptionContract,
     bs_call_price,
@@ -47,13 +48,6 @@ from .errors import (
     PriceOutOfBounds,
     PricingError,
 )
-from .oracle import (
-    McConfig,
-    McEstimate,
-    mc_conditional_loss,
-    quad_expectation,
-    simulate_terminal,
-)
 
 __version__ = "0.1.0"
 
@@ -75,3 +69,16 @@ __all__ = [
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
     "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract", "NoLossEvents",
 ]
+
+
+# The oracles need numpy, which the closed forms do not: resolve their names
+# on first use (PEP 562), so that importing the library leaves numpy unloaded.
+_ORACLE_NAMES = {"McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation"}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,6 +21,7 @@ from typing import Sequence
 from . import equilibrium as eq
 from .core import (
     MarketParams,
+    McConfig,
     OptionContract,
     bs_call_price,
     d_plus_minus,
@@ -28,8 +29,6 @@ from .core import (
     std_normal_cdf,
 )
 from .errors import DegenerateMarket, NonpositivePrice, PricingError
-from .oracle import McConfig
-from .validation import run_all_checks
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
@@ -322,6 +321,8 @@ def cmd_smile(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    from .validation import run_all_checks  # the one command that loads numpy
+
     params, contract = cfg.market(), cfg.single_contract()
     results = run_all_checks(params, contract, mc_cfg=cfg.mc())
     for res in results:

@@ -28,6 +28,7 @@ __all__ = [
     "MarketParams",
     "OptionContract",
     "NumericConfig",
+    "McConfig",
     "std_normal_cdf",
     "rate_factors",
     "d_plus_minus",
@@ -112,6 +113,25 @@ class NumericConfig:
     vol_bracket = (1e-4, 5.0)
     minimizer_grid = 1e-3
     minimizer_tol = 1e-6
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """Monte Carlo sample size and seed of the oracles in fairhedge.oracle.
+
+    Paths are generated in chunks of oracle._CHUNK paths, each chunk from its
+    own stream derived from (seed, chunk index), so the sample is defined
+    bit for bit by (paths, seed), no matter how chunks are scheduled.
+    """
+
+    paths: int = 1_000_000
+    seed: int = 12345
+
+    def __post_init__(self) -> None:
+        if self.paths < 1:
+            raise ValueError(f"paths must be >= 1, got {self.paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 def std_normal_cdf(z: float) -> float:

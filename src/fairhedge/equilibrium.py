@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import (
     MarketParams,
     NumericConfig,
@@ -55,7 +53,6 @@ __all__ = [
     "EquilibriumQuote",
     "SmilePoint",
     "fair_price",
-    "price_positive_x_max",
     "expected_profits",
     "risk_thresholds",
     "writer_risk",
@@ -256,15 +253,6 @@ def fair_price(params: MarketParams, contract: OptionContract, x: float) -> floa
     return _RiskKernel(params, contract).fair_price(x)
 
 
-def price_positive_x_max(params: MarketParams, contract: OptionContract) -> float:
-    """Hedge fraction where the fair price crosses zero; positive on [0, x_max).
-
-    Callers stay a relative margin inside it, since the price is only
-    meaningful well above the rounding noise of the expected payoff.
-    """
-    return _RiskKernel(params, contract).x_max
-
-
 def expected_profits(
     params: MarketParams, contract: OptionContract, x: float, price: float
 ) -> tuple[float, float]:
@@ -339,6 +327,8 @@ def _realized_losses(
 
     The one statement of the loss formulas, in their operation order; new arrays, 0-d for a scalar.
     """
+    import numpy as np  # the only numpy here: quotes and smiles never load it
+
     s = np.asarray(terminal, dtype=float)
     compounding = rate_factors(params, contract.expiry)[1]
     premium = price * compounding

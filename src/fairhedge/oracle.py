@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import MarketParams
+from .core import MarketParams, McConfig
 from .errors import NoLossEvents
 
 __all__ = [
@@ -36,25 +36,6 @@ __all__ = [
 
 # Paths per chunk of a Monte Carlo sample.
 _CHUNK = 262_144
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Simulation size and seed.
-
-    Paths are generated in chunks of _CHUNK = 262,144, each chunk from its
-    own stream derived from (seed, chunk index), so the sample is defined
-    bit for bit by (paths, seed), no matter how chunks are scheduled.
-    """
-
-    paths: int = 1_000_000
-    seed: int = 12345
-
-    def __post_init__(self) -> None:
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 from . import equilibrium as eq
 from .core import (
     MarketParams,
+    McConfig,
     NumericConfig,
     OptionContract,
     bs_call_price,
@@ -30,7 +31,6 @@ from .core import (
 )
 from .errors import PricingError
 from .oracle import (
-    McConfig,
     RunningMoments,
     quad_expectation,
     quad_rule,

@@ -30,7 +30,7 @@ from fairhedge import (
     writer_risk,
     holder_loss,
 )
-from fairhedge.equilibrium import price_positive_x_max, risk_thresholds
+from fairhedge.equilibrium import _RiskKernel, risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import draw_suite, quadrature_risk, rel_err
 
@@ -138,7 +138,7 @@ def test_criterion_07_threshold_argument_monotonicity():
     violations = 0
     draws = 0
     for params, contract, _ in draw_suite(1000, seed=2025):
-        upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
+        upper = min(0.99, 0.99 * _RiskKernel(params, contract).x_max)
         if upper <= 0.02:
             continue
         draws += 1

@@ -525,3 +525,55 @@ class TestDeterminism:
         v1 = run_cli("validate", *EX_ARGS, "--strike", "100", "--paths", "20000")
         v2 = run_cli("validate", *EX_ARGS, "--strike", "100", "--paths", "20000")
         assert v1.stdout == v2.stdout
+
+
+# Runs cli.main over a JSON list of argvs in one interpreter and prints, as
+# JSON, each (exit code, stdout, stderr) and whether numpy was imported.
+# With "poisoned" first, numpy is made unimportable before anything loads.
+CLI_MAIN_SCRIPT = """
+import contextlib, io, json, sys
+if sys.argv[1] == "poisoned":
+    sys.modules["numpy"] = None
+import fairhedge, fairhedge.cli
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = fairhedge.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def run_cli_main(mode, argvs):
+    result = subprocess.run([sys.executable, "-c", CLI_MAIN_SCRIPT, mode, json.dumps(argvs)],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    return json.loads(result.stdout)
+
+
+class TestNumpyOnlyWhereSampled:
+    SCALAR_ARGVS = [
+        ["--help"],
+        ["price", *EX_ARGS, "--strike", "100"],
+        ["quote", *EX_ARGS, "--strike", "100"],
+        ["risk-curve", *EX_ARGS, "--strike", "100", "--grid-step", "0.05"],
+        ["smile", *EX_ARGS, "--strikes", "90,95,100,105,110,115"],
+        ["price", *EX_ARGS, "--strike", "0"],
+        ["quote", *EX_ARGS, "--strike", "1e300"],
+    ]
+
+    def test_scalar_commands_run_with_numpy_unimportable(self):
+        plain = run_cli_main("plain", self.SCALAR_ARGVS)
+        poisoned = run_cli_main("poisoned", self.SCALAR_ARGVS)
+        assert [code for code, _, _ in poisoned["runs"]] == [0, 0, 0, 0, 0, 2, 3]
+        assert poisoned["runs"] == plain["runs"]
+        assert not plain["numpy"]
+
+    def test_validate_loads_numpy_and_passes(self):
+        result = run_cli_main("plain", [["validate", *EX_ARGS, "--strike", "100", "--paths", "20000"]])
+        (code, _, stderr), = result["runs"]
+        assert (code, result["numpy"]) == (0, True), stderr

@@ -39,7 +39,7 @@ from fairhedge import (
     writer_risk,
 )
 from fairhedge import equilibrium
-from fairhedge.equilibrium import price_positive_x_max, risk_thresholds
+from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import check_physical_parity, draw_suite, quadrature_risk, rel_err
 
@@ -88,7 +88,7 @@ class TestFairPrice:
     def test_price_crosses_zero_at_x_max(self):
         params = MarketParams(spot=100.0, drift=0.10, volatility=0.2, risk_free=0.05)
         contract = OptionContract(strike=130.0, expiry=0.5)
-        x_max = price_positive_x_max(params, contract)
+        x_max = equilibrium._RiskKernel(params, contract).x_max
         assert 0.0 < x_max < 1.0
         assert fair_price(params, contract, x_max * (1.0 - 1e-9)) > 0.0
         with pytest.raises(NonpositivePrice):
@@ -603,7 +603,7 @@ class TestSuiteProperties:
     def test_threshold_argument_monotonicity(self):
         """The two log arguments behind d1 and d2 are increasing in x."""
         for params, contract, _ in draw_suite(100, seed=24):
-            upper = min(0.99, 0.99 * price_positive_x_max(params, contract))
+            upper = min(0.99, 0.99 * equilibrium._RiskKernel(params, contract).x_max)
             if upper <= 0.02:
                 continue
             compounding = math.exp(params.risk_free * contract.expiry)

@@ -17,6 +17,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import fairhedge
 from fairhedge import cli, core, equilibrium, oracle, validation
 
@@ -82,8 +84,25 @@ def test_public_api_is_pinned():
     assert all(hasattr(fairhedge, name) for name in PUBLIC_API)
 
 
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fairhedge import *", namespace)
+    assert PUBLIC_API <= set(namespace)
+
+
+def test_oracle_names_resolved_on_first_use_are_the_oracle_objects():
+    for name in ("McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation"):
+        assert getattr(fairhedge, name) is getattr(oracle, name), name
+    assert fairhedge.McConfig is core.McConfig is oracle.McConfig
+
+
+def test_unknown_attribute_names_the_module_and_the_attribute():
+    with pytest.raises(AttributeError, match="^module 'fairhedge' has no attribute 'no_such_name'$"):
+        fairhedge.no_such_name
+
+
 def test_only_monte_carlo_size_and_seed_are_settable():
-    assert [field.name for field in dataclasses.fields(fairhedge.McConfig)] == ["paths", "seed"]
+    assert [field.name for field in dataclasses.fields(core.McConfig)] == ["paths", "seed"]
     assert not hasattr(oracle, "QuadConfig")
     signatures = {
         core.implied_vol: ["params", "contract", "observed_price"],
@@ -130,5 +149,5 @@ def test_cli_flags_are_the_run_config_fields():
 
 def test_cli_monte_carlo_defaults_are_mc_config_defaults():
     run_defaults = {field.name: field.default for field in dataclasses.fields(cli.RunConfig)}
-    mc_defaults = {field.name: field.default for field in dataclasses.fields(oracle.McConfig)}
+    mc_defaults = {field.name: field.default for field in dataclasses.fields(core.McConfig)}
     assert mc_defaults == {key: run_defaults[key] for key in ("paths", "seed")}
