@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
 
 from . import equilibrium as eq
 from .core import (
@@ -219,15 +218,16 @@ def _json_cell(value):
     return value
 
 
-def _render(rows: list[dict], header: list[str], fmt: str, json_extra: Sequence[str] = ()) -> str:
+def _render(rows: dict | list[dict], header: list[str], fmt: str) -> str:
+    single = isinstance(rows, dict)  # a one-row command's dict is one JSON object, a table a list
+    rows = [rows] if single else rows
     if fmt == "csv":  # quoted by the csv module's rules: error messages may hold commas
         out = io.StringIO()
         table = [header] + [[_csv_cell(row.get(col)) for col in header] for row in rows]
         csv.writer(out, lineterminator="\n").writerows(table)
         return out.getvalue()
-    keys = list(header) + [k for k in json_extra if k not in header]
-    payload = [{k: _json_cell(row.get(k)) for k in keys} for row in rows]
-    return json.dumps(payload[0] if len(payload) == 1 and not json_extra else payload, indent=2) + "\n"
+    payload = [{k: _json_cell(row.get(k)) for k in header} for row in rows]
+    return json.dumps(payload[0] if single else payload, indent=2) + "\n"
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -257,7 +257,7 @@ def cmd_price(cfg: RunConfig) -> int:
         "holder_expected_profit": holder,
         "writer_expected_profit": writer,
     }
-    _emit(cfg, _render([row], list(row), cfg.format))
+    _emit(cfg, _render(row, list(row), cfg.format))
     return 0
 
 
@@ -284,7 +284,7 @@ def cmd_quote(cfg: RunConfig) -> int:
         spot = cfg.s0 if cfg.reval_spot is None else cfg.reval_spot
         quote = eq.revalue_at_time(params, contract, cfg.reval_t, spot)
     row = _report_row(quote.report, "x_star")
-    _emit(cfg, _render([row], list(row), cfg.format))
+    _emit(cfg, _render(row, list(row), cfg.format))
     return 0
 
 
@@ -308,7 +308,7 @@ def cmd_risk_curve(cfg: RunConfig) -> int:
             raise
         except PricingError as exc:
             rows.append({"x": x, "error": f"{type(exc).__name__}: {exc}"})
-    _emit(cfg, _render(rows, header, cfg.format, json_extra=["error"]))
+    _emit(cfg, _render(rows, header, cfg.format))
     return 0
 
 
@@ -316,7 +316,7 @@ def cmd_smile(cfg: RunConfig) -> int:
     params = cfg.market()
     points = eq.volatility_smile(params, cfg.strikes, cfg.t)
     rows = [asdict(p) for p in points]
-    _emit(cfg, _render(rows, SMILE_CSV_HEADER.split(","), cfg.format, json_extra=["error"]))
+    _emit(cfg, _render(rows, SMILE_CSV_HEADER.split(","), cfg.format))
     return 0
 
 

@@ -24,6 +24,7 @@ The writer loses on {Z <= d1} or {Z > d2}; the holder loses on {Z < d'}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -71,6 +72,9 @@ MAX_HEDGE_FRACTION = 1.0 - 1e-6
 # quoted: such a premium perturbs the strike by less than one ulp, so the
 # cut points collapse (d == d2 == d') and their strict ordering is lost.
 _PREMIUM_FLOOR = 1e-8
+
+# A loss probability under the smallest normal float keeps too few bits to divide by.
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,10 +142,11 @@ class _RiskKernel:
     d' are fixed at construction. Construction raises DegenerateMarket
     when a growth factor leaves the float range (from rate_factors) or the
     hedge edge is zero in floating point, so x_max would divide by zero.
-    The methods evaluate the formulas at any x in one fixed operation
-    order, so the public wrappers and the minimizer's scan give identical
-    bits for identical inputs. The scan calls writer_terms, the writer's
-    side only; report adds d' and the holder's risk to it.
+    The methods take one float x and evaluate the formulas in one fixed
+    operation order, so the public wrappers, the minimizer and the checks
+    give identical bits. The minimizer's objective risk_at is the writer's
+    side only, or inf where writer_terms raises, so a point without a risk
+    never wins; report adds d' and the holder's risk to writer_terms.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -169,13 +174,9 @@ class _RiskKernel:
         self.cdf_d = std_normal_cdf(self.d)
         self.cdf_d_shifted = std_normal_cdf(self.d - self.sig_sqrt_t)
 
-    def price(self, x):
-        """Fair premium at x, a float or elementwise over an array; unchecked."""
-        return self.discount * (self.expected_payoff - 0.5 * x * self.edge)
-
     def fair_price(self, x: float) -> float:
         _check_hedge_fraction(x)
-        price = self.price(x)
+        price = self.discount * (self.expected_payoff - 0.5 * x * self.edge)
         if not price > 0:
             raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
         return price
@@ -209,8 +210,9 @@ class _RiskKernel:
         # precision in the tails; a -inf d1 contributes nothing.
         upper_tail = std_normal_cdf(-d2)
         loss_prob = std_normal_cdf(d1) + upper_tail
-        if loss_prob <= 0.0:
-            raise DegenerateLoss(f"writer loss probability underflowed to zero at x={x}")
+        if not loss_prob >= _NORMAL_MIN:
+            size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
+            raise DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
         upper_tail_shifted = std_normal_cdf(-(d2 - sig_sqrt_t))
         partial_call = grown_spot * upper_tail_shifted - self.strike * upper_tail
         partial_stock = grown_spot * (std_normal_cdf(d1 - sig_sqrt_t) + upper_tail_shifted)
@@ -221,6 +223,12 @@ class _RiskKernel:
             - price * compounding
         )
         return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w
+
+    def risk_at(self, x: float) -> float:
+        try:
+            return self.writer_terms(x)[6]
+        except PricingError:
+            return math.inf
 
     def report(self, x: float) -> RiskReport:
         price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = self.writer_terms(x)
@@ -315,7 +323,7 @@ def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> Ris
 
     Raises:
         NonpositivePrice: If the fair price at x is nonpositive.
-        DegenerateLoss: If the loss probability underflows to zero.
+        DegenerateLoss: If the loss probability underflows to zero or a subnormal.
     """
     return _RiskKernel(params, contract).report(x)
 
@@ -379,13 +387,7 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
             f"{kernel.expected_payoff} is below {_PREMIUM_FLOOR} of spot {params.spot}"
         )
 
-    def risk_at(x: float) -> float:
-        try:
-            return kernel.writer_terms(x)[6]
-        except PricingError:
-            return math.inf
-
-    step, hi = NumericConfig.minimizer_grid, kernel.x_hi
+    risk_at, step, hi = kernel.risk_at, NumericConfig.minimizer_grid, kernel.x_hi
     grid = [i * step for i in range(int(hi / step) + 1)]
     if grid[-1] < hi:
         grid.append(hi)

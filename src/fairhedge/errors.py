@@ -32,7 +32,7 @@ class DomainError(PricingError):
 
 
 class DegenerateLoss(PricingError):
-    """Loss probability underflowed to zero; conditional risk is undefined."""
+    """Loss probability underflowed to zero or a subnormal; conditional risk is undefined."""
 
 
 class EmptyDomain(PricingError):

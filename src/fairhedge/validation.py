@@ -58,12 +58,6 @@ def _bounded(name: str, value: float, tol: float, measured: str, ok: bool = True
     return CheckResult(name, ok and value <= tol, f"{measured} (tol {tol:.0e})")
 
 
-def _in_domain(params: MarketParams, contract: OptionContract, xs) -> list[float]:
-    """The fixed hedge fractions xs that lie in the kernel's hedge domain [0, x_hi]."""
-    upper = eq._RiskKernel(params, contract).x_hi
-    return [x for x in xs if 0.0 <= x <= upper]
-
-
 def rel_err(a: float, b: float) -> float:
     """Relative disagreement of two values, safe at zero."""
     scale = max(abs(a), abs(b))
@@ -181,10 +175,10 @@ def check_physical_parity(params: MarketParams, contract: OptionContract) -> Che
 
 
 def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> CheckResult:
+    kernel = eq._RiskKernel(params, contract)
     worst = 0.0
-    for x in _in_domain(params, contract, (0.0, 0.25, 0.5, 0.7212, 0.99)):
-        price = eq.fair_price(params, contract, x)
-        holder, writer = eq.expected_profits(params, contract, x, price)
+    for x in [x for x in (0.0, 0.25, 0.5, 0.7212, 0.99) if x <= kernel.x_hi]:
+        holder, writer = eq.expected_profits(params, contract, x, kernel.fair_price(x))
         worst = max(worst, abs(holder - writer))
     return _bounded("fair_play_identity", worst, _IDENTITY_TOL, f"max abs gap {worst:.3e}")
 
@@ -212,7 +206,7 @@ def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContr
     """The d1 and d2 log arguments never fall by over 1e-12 between property-grid points."""
     kernel = eq._RiskKernel(params, contract)
     xs, s0, compounding = _property_grid(kernel), params.spot, kernel.compounding
-    prices = kernel.price(xs)
+    prices = np.array([kernel.fair_price(x) for x in xs.tolist()])
     dead_call = (xs * s0 - prices) * compounding / (s0 * xs)
     live_call = (contract.strike + (prices - xs * s0) * compounding) / (s0 * (1.0 - xs))
     falls = (np.diff(dead_call) < -1e-12) | (np.diff(live_call) < -1e-12)
@@ -246,11 +240,12 @@ def quadrature_risk(
 
 
 def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
+    kernel = eq._RiskKernel(params, contract)
     worst = 0.0
     tested = 0
-    for x in _in_domain(params, contract, (0.0, 0.25, 0.5, 0.75)):
+    for x in [x for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]:
         try:
-            report = eq.writer_risk(params, contract, x)
+            report = kernel.report(x)
         except PricingError:
             continue
         prob_q, gw_q, gh_q = quadrature_risk(params, contract, x, report.fair_price)
@@ -323,11 +318,10 @@ def check_mc_agreement(
 def check_quote_grid_consistency(
     params: MarketParams, contract: OptionContract, quote: eq.EquilibriumQuote
 ) -> CheckResult:
-    best = quote.report.writer_risk
-    worst_drop = 0.0
-    step = NumericConfig.minimizer_grid
-    for x in _in_domain(params, contract, (quote.x_star - step, quote.x_star + step)):
-        worst_drop = max(worst_drop, best - eq.writer_risk(params, contract, x).writer_risk)
+    """x* +- minimizer_grid in [0, x_hi] scored as the minimizer scores them: inf where no risk."""
+    kernel, step = eq._RiskKernel(params, contract), NumericConfig.minimizer_grid
+    neighbours = [x for x in (quote.x_star - step, quote.x_star + step) if 0.0 <= x <= kernel.x_hi]
+    worst_drop = max([0.0] + [quote.report.writer_risk - kernel.risk_at(x) for x in neighbours])
     measured = f"x_star {quote.x_star:.6f}; neighbor improvement {worst_drop:.3e}"
     return _bounded("quote_grid_consistency", worst_drop, 1e-9, measured)
 

@@ -305,6 +305,19 @@ class TestValidateCommand:
         assert checks["mc_agreement"]["passed"] is False
         assert all(c["passed"] for name, c in checks.items() if name != "mc_agreement")
 
+    def test_quote_neighbour_without_a_risk_fails_only_the_mc_check(self):
+        # x* + 1e-3 has a subnormal loss probability, so the grid check scores it inf.
+        args = ["--s0", "100", "--mu", "0.1", "--sigma", "0.005", "--r", "0.05", "--t", "0.01"]
+        result = run_cli("validate", *args, "--strike", "90", "--paths", "10000")
+        assert result.returncode == 1, result.stderr
+        checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+        assert len(checks) == 9
+        assert checks["quote_grid_consistency"]["passed"] is True
+        assert [name for name, c in checks.items() if not c["passed"]] == ["mc_agreement"]
+        assert checks["mc_agreement"]["detail"] == (
+            "writer_risk has 0 positive losses; a band needs at least 2; paths 10000"
+        )
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

@@ -5,8 +5,10 @@ the reference scenario, live quadrature on random draws, and seeded Monte
 Carlo within standard-error bands.
 """
 
+import itertools
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
@@ -297,6 +299,57 @@ class TestWriterRisk:
             writer_risk(params, contract, 0.0)
 
 
+def exact_writer_risk(params, contract, x):
+    """gamma_W of the writer_risk docstring's closed forms, evaluated with 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        s0, mu, sig, r, k, t, x = map(mpmath.mpf, (
+            params.spot, params.drift, params.volatility, params.risk_free,
+            contract.strike, contract.expiry, x,
+        ))
+        s, n = sig * mpmath.sqrt(t), mpmath.ncdf
+        grown, compounding = s0 * mpmath.exp(mu * t), mpmath.exp(r * t)
+        d_mu = (mpmath.log(s0 / k) + (mu + sig**2 / 2) * t) / s
+        payoff = grown * n(d_mu) - k * n(d_mu - s)
+        price = (payoff - x * (grown - s0 * compounding) / 2) / compounding
+        shift = sig**2 * t / 2 - mu * t
+        d1 = (mpmath.log((x * s0 - price) * compounding / (s0 * x)) + shift) / s
+        d2 = (mpmath.log((k + (price - x * s0) * compounding) / (s0 * (1 - x))) + shift) / s
+        prob = n(d1) + n(-d2)
+        partial_call = grown * n(-(d2 - s)) - k * n(-d2)
+        partial_stock = grown * (n(d1 - s) + n(-(d2 - s)))
+        gamma = (partial_call - x * partial_stock) / prob + (x * s0 - price) * compounding
+        return float(gamma)
+
+
+class TestSubnormalLossProbability:
+    """A loss probability below the normal float range is no loss probability."""
+
+    def test_low_volatility_quote_has_a_positive_risk_at_a_normal_loss_probability(
+        self, low_vol_market
+    ):
+        quote = minimize_writer_risk(*low_vol_market)
+        assert quote.x_star == 0.98697314453125
+        assert quote.report.loss_prob >= sys.float_info.min
+        assert quote.report.writer_risk > 0.0
+        # d2 carries a 3.6e-13 relative error into tails of N(-d2) ~ 1e-308, and
+        # the risk is 1.8e-5 from terms near 100: the float value sits 1.09e-8 off.
+        exact = exact_writer_risk(*low_vol_market, quote.x_star)
+        assert quote.report.writer_risk == pytest.approx(exact, rel=2e-8)
+
+    def test_the_unmended_quote_has_no_risk(self, low_vol_market):
+        with pytest.raises(DegenerateLoss, match="underflowed to a subnormal .* at x=0.987279296875"):
+            writer_risk(*low_vol_market, 0.987279296875)
+
+    def test_no_low_volatility_quote_has_a_nonpositive_risk(self):
+        # 15 of these 18 markets quoted a risk <= 0 at a subnormal loss probability.
+        for mu, r, moneyness in itertools.product((0.06, 0.1, 0.2), (0.0, 0.05), (0.8, 0.9, 0.97)):
+            params = MarketParams(spot=100.0, drift=mu, volatility=0.005, risk_free=r)
+            report = minimize_writer_risk(params, OptionContract(100.0 * moneyness, 0.01)).report
+            assert report.writer_risk > 0.0 and report.loss_prob >= sys.float_info.min, params
+
+
 class TestHolderRisk:
     def test_reference_value_against_quadrature(self, ref_params, ref_contract):
         value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
@@ -364,13 +417,6 @@ class TestCompassRefinement:
 
     LAST_STEP = NumericConfig.minimizer_grid / 2**11
 
-    @staticmethod
-    def risk_at(kernel, x):
-        try:
-            return kernel.writer_terms(x)[6]
-        except PricingError:
-            return math.inf
-
     def test_quote_beats_its_grid_and_both_last_step_neighbours(self, ref_params, ref_contract):
         markets = [(ref_params, ref_contract)]
         markets += [(params, contract) for params, contract, _ in draw_suite(24, seed=31)]
@@ -380,10 +426,10 @@ class TestCompassRefinement:
             kernel = equilibrium._RiskKernel(params, contract)
             hi = kernel.x_hi
             grid = [i * step for i in range(int(hi / step) + 1)] + [hi]
-            assert quote.report.writer_risk <= min(self.risk_at(kernel, x) for x in grid)
+            assert quote.report.writer_risk <= min(kernel.risk_at(x) for x in grid)
             for x in (quote.x_star - self.LAST_STEP, quote.x_star + self.LAST_STEP):
                 if 0.0 <= x <= hi:
-                    assert quote.report.writer_risk <= self.risk_at(kernel, x), (params, contract)
+                    assert quote.report.writer_risk <= kernel.risk_at(x), (params, contract)
 
     def test_reference_quote_evaluates_the_writer_terms_1024_times(
         self, ref_params, ref_contract, monkeypatch
@@ -426,7 +472,8 @@ class TestCompassRefinement:
 
 class TestScanObjective:
     def test_writer_terms_are_the_reports_bits_or_its_error(self):
-        """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included."""
+        """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included: risk_at
+        is the report's writer risk, or inf where the report raises."""
         compared = raised = 0
         for params, contract, _ in draw_suite(24, seed=31):
             kernel = equilibrium._RiskKernel(params, contract)
@@ -437,12 +484,14 @@ class TestScanObjective:
                 except PricingError as exc:
                     with pytest.raises(type(exc)):
                         kernel.writer_terms(x)
+                    assert kernel.risk_at(x) == math.inf
                     raised += 1
                     continue
                 th = report.thresholds
                 expected = (report.fair_price, th.d1, th.d2, report.loss_prob,
                             report.partial_call, report.partial_stock, report.writer_risk)
                 assert [v.hex() for v in kernel.writer_terms(x)] == [v.hex() for v in expected]
+                assert kernel.risk_at(x).hex() == report.writer_risk.hex()
                 compared += 1
         assert compared > 10_000 and raised > 1_000
 

@@ -26,8 +26,10 @@ import pytest
 import fairhedge.equilibrium as eq
 import fairhedge.validation as validation
 from fairhedge import (
+    DegenerateLoss,
     MarketParams,
     McConfig,
+    NumericConfig,
     OptionContract,
     bs_call_price,
     expected_call_payoff_physical,
@@ -79,10 +81,8 @@ def drive_profits(monkeypatch, value, quote):
 
 
 def drive_neighbor(monkeypatch, value, quote):
-    original, best = eq.writer_risk, quote.report.writer_risk
-    monkeypatch.setattr(
-        eq, "writer_risk", lambda p, c, x: replace(original(p, c, x), writer_risk=best - value)
-    )
+    best = quote.report.writer_risk
+    monkeypatch.setattr(eq._RiskKernel, "risk_at", lambda kernel, x: best - value)
 
 
 # Each check by name: the check, its patch, its tolerance and the detail a value gives.
@@ -350,6 +350,15 @@ def test_suite_reports_every_check_when_a_round_trip_trial_has_no_vol():
     assert failed == ["implied_vol_round_trip"]
 
 
+def test_a_neighbour_without_a_risk_does_not_beat_the_quote(low_vol_market):
+    quote = eq.minimize_writer_risk(*low_vol_market)
+    with pytest.raises(DegenerateLoss):
+        eq.writer_risk(*low_vol_market, quote.x_star + NumericConfig.minimizer_grid)
+    result = check_quote_grid_consistency(*low_vol_market, quote)
+    assert result.passed
+    assert result.detail == "x_star 0.986973; neighbor improvement 0.000e+00 (tol 1e-09)"
+
+
 def test_property_checks_pass_on_the_reference_and_drawn_markets(ref_params, ref_contract):
     markets = [(ref_params, ref_contract)] + [(p, c) for p, c, _ in draw_suite(24, seed=31)]
     for params, contract in markets:
@@ -382,10 +391,10 @@ def test_threshold_arg_monotonicity_fails_when_the_d2_argument_falls(
     # With the premium e^{-rT} E[C(T)] (1 - x), the d2 log argument is
     # (K - x S0 e^{rT}) / (S0 (1 - x)) + E[C(T)] / S0, whose slope has the
     # sign of K - S0 e^{rT}: negative at the reference market, on every step.
-    def price(kernel, x):
+    def fair_price(kernel, x):
         return kernel.discount * kernel.expected_payoff * (1 - x)
 
-    monkeypatch.setattr(eq._RiskKernel, "price", price)
+    monkeypatch.setattr(eq._RiskKernel, "fair_price", fair_price)
     result = check_threshold_arg_monotonicity(ref_params, ref_contract)
     assert result.passed is False
     assert result.detail == "99 violations in 100 hedge fractions"
@@ -397,11 +406,12 @@ def test_retired_contract_free_monotonicity_draws_have_no_violations():
     # 07 tests these draws on a grid bounded by 0.99 x_max, a different grid.
     violating = 0
     for params, contract, _ in draw_suite(50, seed=2025):
-        upper = min(0.99, eq._RiskKernel(params, contract).x_hi * 0.99)
+        kernel = eq._RiskKernel(params, contract)
+        upper = min(0.99, kernel.x_hi * 0.99)
         assert upper > 0.02
         compounding = math.exp(params.risk_free * contract.expiry)
         xs = np.linspace(0.01, upper, 100)
-        prices = eq._RiskKernel(params, contract).price(xs)
+        prices = np.array([kernel.fair_price(x) for x in xs.tolist()])
         dead_call = (xs * params.spot - prices) * compounding / (params.spot * xs)
         live_call = (contract.strike + (prices - xs * params.spot) * compounding) / (
             params.spot * (1.0 - xs)

@@ -1,4 +1,4 @@
-"""Print every benchmark pool's outputs, one JSON line per record, floats as hex.
+"""Print the benchmark pools' outputs and a low-volatility quote grid, floats as hex.
 
 Usage, from the root of a source checkout (no flags):
 
@@ -12,7 +12,12 @@ library is imported from this checkout's ``src/``. Records:
 - ``validate``: ``(name, passed, detail)`` of every check of the validate
   pools of seeds 1, 2, 5 and 7, each suite run twice in one process so
   that any state kept between calls shows as a difference;
-- ``cli``: exit code, stdout and stderr of the pool argvs of cli seeds 1-3.
+- ``cli``: exit code, stdout and stderr of the pool argvs of cli seeds 1-3;
+- ``lowvol``: the ``EquilibriumQuote`` of each of the 1,440 markets of a
+  low-volatility grid (S0 = 100, sigma from 0.002 to 0.1, T from 0.01 to
+  1, K/S0 from 0.8 to 1.3; see ``LOWVOL``). This section is not a
+  benchmark pool: it covers the regime where the writer's loss
+  probability nears the bottom of the float range, which no pool reaches.
 
 Floats print as ``float.hex``, so two checkouts give the same output if
 and only if every number agrees bit for bit: ``diff`` the digests of two
@@ -24,6 +29,7 @@ takes about a minute on a two-core machine.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -32,9 +38,18 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "perfbench")]
 
 import workloads  # perfbench/workloads.py, found through the path set above
+from fairhedge import MarketParams, OptionContract, minimize_writer_risk
 
 SEEDS = {"quote": (1, 2, 3), "smile": (1,), "validate": (1, 2, 5, 7), "cli": (1, 2, 3)}
 CALLS = {"validate": 2}
+# The low-volatility grid's axes; a market is one (sigma, T, K/S0, mu, r) at S0 = 100.
+LOWVOL = {
+    "sigma": (0.002, 0.005, 0.01, 0.02, 0.05, 0.1),
+    "t": (0.01, 0.05, 0.1, 0.5, 1.0),
+    "moneyness": (0.8, 0.9, 0.97, 1.0, 1.02, 1.05, 1.1, 1.3),
+    "mu": (0.06, 0.1, 0.2),
+    "r": (0.0, 0.05),
+}
 
 
 def encode(value):
@@ -48,19 +63,29 @@ def encode(value):
     return value
 
 
+def encoded_output(request, *args):
+    """The encoded result of request(*args), or the exception it raised."""
+    try:
+        return encode(request(*args))
+    except Exception as exc:  # recorded in the digest, not raised
+        return {"raised": type(exc).__name__, "message": str(exc)}
+
+
 def main() -> int:
     for name, seeds in SEEDS.items():
         for seed in seeds:
             workload = workloads.WORKLOADS[name](seed)
             for call in range(CALLS.get(name, 1)):
                 for index, item in enumerate(workload.inputs):
-                    try:
-                        output = encode(workload.request(item))
-                    except Exception as exc:  # recorded in the digest, not raised
-                        output = {"raised": type(exc).__name__, "message": str(exc)}
                     record = {"workload": name, "seed": seed, "call": call, "index": index,
-                              "output": output}
+                              "output": encoded_output(workload.request, item)}
                     print(json.dumps(record, sort_keys=True), flush=True)
+    for index, (sigma, t, moneyness, mu, r) in enumerate(itertools.product(*LOWVOL.values())):
+        params = MarketParams(spot=100.0, drift=mu, volatility=sigma, risk_free=r)
+        contract = OptionContract(strike=100.0 * moneyness, expiry=t)
+        record = {"workload": "lowvol", "index": index, "market": [sigma, t, moneyness, mu, r],
+                  "output": encoded_output(minimize_writer_risk, params, contract)}
+        print(json.dumps(record, sort_keys=True), flush=True)
     return 0
 
 
