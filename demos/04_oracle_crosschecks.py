@@ -18,7 +18,7 @@ from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
 
 def streamed_estimates(params, contract, quote, mc):
-    """Writer risk, holder risk and E[(S-K)+] from one pass over the sample, chunk by chunk."""
+    """Writer risk, holder risk and E[(S-K)+] from one pass over the sample, block by block."""
     writer, holder, payoff = RunningMoments(), RunningMoments(), RunningMoments()
     for terminal in terminal_chunks(params, contract.expiry, mc):
         losses = writer_loss(params, contract, quote.x_star, quote.price, terminal)
@@ -53,9 +53,9 @@ def main():
     )
     print(f"P(loss)     closed {report.loss_prob:.10f}   quadrature {prob_quad:.10f}")
 
-    # Monte Carlo: one million exact lognormal draws, chunked and seeded so
-    # the run is reproducible bit for bit, streamed into running moments so
-    # no million-path array is kept.
+    # Monte Carlo: one million exact lognormal draws, seeded chunk by chunk so
+    # the run is reproducible bit for bit, streamed in blocks of 32,768 paths
+    # into running moments so no million-path array is kept.
     mc = McConfig(paths=1_000_000, seed=20240)
     estimates = streamed_estimates(params, contract, quote, mc)
     w, h, p = estimates

@@ -121,7 +121,9 @@ class McConfig:
 
     Paths are generated in chunks of oracle._CHUNK paths, each chunk from its
     own stream derived from (seed, chunk index), so the sample is defined
-    bit for bit by (paths, seed), no matter how chunks are scheduled.
+    bit for bit by (paths, seed), no matter how chunks are scheduled. The
+    chunk is the unit of the random stream; the work and the memory of a
+    pass come in blocks of oracle._BLOCK paths drawn in turn from that stream.
     """
 
     paths: int = 1_000_000

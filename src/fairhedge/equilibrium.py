@@ -174,6 +174,14 @@ class _RiskKernel:
         self.cdf_d = std_normal_cdf(self.d)
         self.cdf_d_shifted = std_normal_cdf(self.d - self.sig_sqrt_t)
 
+    def require_quotable(self) -> None:
+        """Raise EmptyDomain if the expected payoff is below the premium floor."""
+        if self.below_premium_floor:
+            raise EmptyDomain(
+                f"no quotable price for strike {self.strike}: expected payoff "
+                f"{self.expected_payoff} is below {_PREMIUM_FLOOR} of spot {self.spot}"
+            )
+
     def fair_price(self, x: float) -> float:
         _check_hedge_fraction(x)
         price = self.discount * (self.expected_payoff - 0.5 * x * self.edge)
@@ -329,24 +337,28 @@ def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> Ris
 
 
 def _realized_losses(
-    params: MarketParams, contract: OptionContract, x: float, price: float, terminal
+    params: MarketParams, contract: OptionContract, x: float, price: float, terminal, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C(T), writer loss, holder loss) at terminal prices, C(T) = (S(T)-K)^+ computed once.
 
-    The one statement of the loss formulas, in their operation order; new arrays, 0-d for a scalar.
+    The one statement of the loss formulas, in their operation order. The
+    three arrays are new (0-d for a scalar), or the rows of out, an array
+    of shape (3, len(terminal)), when given.
     """
     import numpy as np  # the only numpy here: quotes and smiles never load it
 
     s = np.asarray(terminal, dtype=float)
+    payoff, writer, holder = (np.empty_like(s) for _ in range(3)) if out is None else out
     compounding = rate_factors(params, contract.expiry)[1]
     premium = price * compounding
-    payoff = np.subtract(s, contract.strike, out=np.empty_like(s))
+    np.subtract(s, contract.strike, out=payoff)
     np.maximum(payoff, 0.0, out=payoff)
-    writer = np.subtract(s, params.spot * compounding, out=np.empty_like(s))
+    np.subtract(s, params.spot * compounding, out=writer)
     writer *= x
     np.subtract(payoff, writer, out=writer)
     writer -= premium
-    return payoff, writer, np.subtract(premium, payoff, out=np.empty_like(s))
+    np.subtract(premium, payoff, out=holder)
+    return payoff, writer, holder
 
 
 def writer_loss(
@@ -381,12 +393,7 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
             of spot; so is every contract whose unhedged premium is nonpositive.
     """
     kernel = _RiskKernel(params, contract)
-    if kernel.below_premium_floor:
-        raise EmptyDomain(
-            f"no quotable price for strike {contract.strike}: expected payoff "
-            f"{kernel.expected_payoff} is below {_PREMIUM_FLOOR} of spot {params.spot}"
-        )
-
+    kernel.require_quotable()
     risk_at, step, hi = kernel.risk_at, NumericConfig.minimizer_grid, kernel.x_hi
     grid = [i * step for i in range(int(hi / step) + 1)]
     if grid[-1] < hi:

@@ -44,4 +44,4 @@ class ExpiredContract(PricingError):
 
 
 class NoLossEvents(PricingError):
-    """Monte Carlo sample contains no positive losses; estimate undefined."""
+    """A Monte Carlo sample or a quadrature rule sees no positive loss; estimate undefined."""

@@ -29,8 +29,9 @@ from .core import (
     _implied_vol_otm,
     _otm_price,
 )
-from .errors import PricingError
+from .errors import NoLossEvents, PricingError
 from .oracle import (
+    _BLOCK,
     RunningMoments,
     quad_expectation,
     quad_rule,
@@ -215,6 +216,32 @@ def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContr
     return CheckResult("threshold_arg_monotonicity", violations == 0, detail)
 
 
+def _quadrature_risks(
+    params: MarketParams, contract: OptionContract, priced: list[tuple[float, float]]
+) -> list[tuple[float, float, float] | None]:
+    """quadrature_risk of each (x, price) pair on one rule, or None where it has no loss weight.
+
+    The rule is cut at every pair's thresholds and one S(T) array serves
+    every pair's four integrands. A pair whose writer or holder loss event
+    gets no weight on the rule's window has no conditional risk: None.
+    """
+    thresholds = [eq.risk_thresholds(params, contract, x, price) for x, price in priced]
+    z, weights = quad_rule([cut for th in thresholds for cut in (th.d1, th.d, th.d2, th.d_prime)])
+    terminal = terminal_price(params, contract.expiry, z, params.drift)
+    risks = []
+    for x, price in priced:
+        _, w_loss, h_loss = eq._realized_losses(params, contract, x, price, terminal)
+        prob = float(np.dot(weights, (w_loss > 0).astype(float)))
+        h_prob = float(np.dot(weights, (h_loss > 0).astype(float)))
+        if prob == 0.0 or h_prob == 0.0:
+            risks.append(None)
+            continue
+        w_cond = float(np.dot(weights, np.maximum(w_loss, 0.0))) / prob
+        h_cond = float(np.dot(weights, np.maximum(h_loss, 0.0))) / h_prob
+        risks.append((prob, w_cond, h_cond))
+    return risks
+
+
 def quadrature_risk(
     params: MarketParams, contract: OptionContract, x: float, price: float
 ) -> tuple[float, float, float]:
@@ -222,47 +249,42 @@ def quadrature_risk(
 
     Losses are evaluated from their definitions path by path; the closed-form
     thresholds enter only as panel breakpoints to keep the rule high-order.
+
+    Raises:
+        NoLossEvents: If the rule puts no weight on the writer's or the
+            holder's loss event, which then lies outside z in [-10, 10].
     """
-    th = eq.risk_thresholds(params, contract, x, price)
-    # One rule and one S(T) array serve all four integrands.
-    z, weights = quad_rule([th.d1, th.d, th.d2, th.d_prime])
-    terminal = terminal_price(params, contract.expiry, z, params.drift)
-    _, w_loss, h_loss = eq._realized_losses(params, contract, x, price, terminal)
-
-    def expect(values: np.ndarray) -> float:
-        return float(np.dot(weights, values))
-
-    prob = expect((w_loss > 0).astype(float))
-    w_cond = expect(np.maximum(w_loss, 0.0)) / prob
-    h_prob = expect((h_loss > 0).astype(float))
-    h_cond = expect(np.maximum(h_loss, 0.0)) / h_prob
-    return prob, w_cond, h_cond
+    (risks,) = _quadrature_risks(params, contract, [(x, price)])
+    if risks is None:
+        raise NoLossEvents(f"the quadrature rule puts no weight on a loss event at x={x}")
+    return risks
 
 
 def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
+    """Closed-form risks at x = 0, 0.25, 0.5 and 0.75 (those in [0, x_hi]) against one rule.
+
+    A fraction whose report raises, or whose loss event gets no quadrature
+    weight, is skipped and counted; the check fails when it tests none.
+    """
     kernel = eq._RiskKernel(params, contract)
-    worst = 0.0
-    tested = 0
-    for x in [x for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]:
+    fractions = [x for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]
+    reports = []
+    for x in fractions:
         try:
-            report = kernel.report(x)
+            reports.append(kernel.report(x))
         except PricingError:
             continue
-        prob_q, gw_q, gh_q = quadrature_risk(params, contract, x, report.fair_price)
-        worst = max(
-            worst,
-            rel_err(report.loss_prob, prob_q),
-            rel_err(report.writer_risk, gw_q),
-            rel_err(report.holder_risk, gh_q),
-        )
-        tested += 1
+    priced = [(report.x, report.fair_price) for report in reports]
+    worst, tested = 0.0, 0
+    for report, risks in zip(reports, _quadrature_risks(params, contract, priced)):
+        if risks is not None:
+            closed = (report.loss_prob, report.writer_risk, report.holder_risk)
+            worst = max(worst, *map(rel_err, closed, risks))
+            tested += 1
+    skipped = len(fractions) - tested
     measured = f"max rel err {worst:.3e} over {tested} hedge fractions"
+    measured += f", {skipped} skipped" if skipped else ""
     return _bounded("risks_vs_quadrature", worst, _QUAD_TOL, measured, ok=tested > 0)
-
-
-# Paths per block of the Monte Carlo check: 256 KB of float64, so a block
-# and its loss temporaries stay in a 2 MB L2 cache.
-_MC_BLOCK = 32_768
 
 
 def check_mc_agreement(
@@ -273,10 +295,11 @@ def check_mc_agreement(
 ) -> CheckResult:
     """Closed forms at the quote vs their Monte Carlo estimates, _MC_BAND_SE standard errors.
 
-    One streamed pass: each chunk of the sample is walked in blocks of
-    _MC_BLOCK paths: each block's payoffs, computed once, and the positive
-    writer and holder losses derived from them feed running moments, so no
-    path-sized array is made. A sample with fewer than two positive losses
+    One streamed pass over the blocks of terminal_chunks: each block's
+    payoffs, computed once, and the writer and holder losses derived from
+    them are written into one reused (3, block) buffer, and the payoffs and
+    the positive losses feed running moments, so no path-sized or
+    chunk-sized array is made. A sample with fewer than two positive losses
     for either conditional risk has no finite band, so the check fails,
     naming that risk, instead of raising; this covers a sample of one path
     and one with no positive loss.
@@ -284,14 +307,14 @@ def check_mc_agreement(
     report = quote.report
     n = mc_cfg.paths
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
-    for chunk in terminal_chunks(params, contract.expiry, mc_cfg):
-        for start in range(0, chunk.size, _MC_BLOCK):
-            payoffs, w_loss, h_loss = eq._realized_losses(
-                params, contract, quote.x_star, quote.price, chunk[start : start + _MC_BLOCK]
-            )
-            payoff.add(payoffs)
-            writer.add(np.compress(w_loss > 0, w_loss))
-            holder.add(np.compress(h_loss > 0, h_loss))
+    losses = np.empty((3, min(_BLOCK, n)))
+    for block in terminal_chunks(params, contract.expiry, mc_cfg):
+        payoffs, w_loss, h_loss = eq._realized_losses(
+            params, contract, quote.x_star, quote.price, block, out=losses[:, : block.size]
+        )
+        payoff.add(payoffs)
+        writer.add(np.compress(w_loss > 0, w_loss))
+        holder.add(np.compress(h_loss > 0, h_loss))
 
     for name, moments in (("writer_risk", writer), ("holder_risk", holder)):
         if moments.count < 2:
@@ -331,9 +354,12 @@ def run_all_checks(
 ) -> list[CheckResult]:
     """Run the full oracle-equivalence and property suite.
 
-    The checks run in order and the first exception propagates; the quote
-    is computed once, where the Monte Carlo check first needs it.
+    A contract below the premium floor raises the minimizer's EmptyDomain
+    before the first check. The checks run in order and the first exception
+    propagates; the quote is computed once, where the Monte Carlo check
+    first needs it.
     """
+    eq._RiskKernel(params, contract).require_quotable()
     mc_cfg = mc_cfg or McConfig()
     results = [
         check_implied_vol_round_trip(params, contract),

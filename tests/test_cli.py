@@ -318,6 +318,16 @@ class TestValidateCommand:
             "writer_risk has 0 positive losses; a band needs at least 2; paths 10000"
         )
 
+    @pytest.mark.parametrize("mu", ["0.06", "0.2"])
+    def test_contract_below_the_premium_floor_exits_3(self, mu):
+        # At mu 0.06 the expected payoff rounds to -1.04e-322 (once a config
+        # error, exit 2); at mu 0.2 the quadrature check divided by zero (exit 1).
+        args = ["--s0", "100", "--mu", mu, "--sigma", "0.005", "--r", "0", "--t", "0.01"]
+        result = run_cli("validate", *args, "--strike", "102", "--paths", "10000")
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert "domain error: EmptyDomain: no quotable price for strike 102.0" in result.stderr
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):

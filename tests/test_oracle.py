@@ -139,11 +139,28 @@ class TestMcConditionalLoss:
 
 class TestTerminalChunks:
     def test_chunks_concatenate_to_the_sample(self, ref_params):
-        # The reused buffer is overwritten by the next chunk, so each chunk is copied.
+        # The reused buffer is overwritten by the next block, so each block is copied.
         cfg = McConfig(paths=2 * 262_144 + 3, seed=3)
-        chunks = [chunk.copy() for chunk in terminal_chunks(ref_params, 1.0, cfg)]
-        assert [c.size for c in chunks] == [262_144, 262_144, 3]
-        assert np.array_equal(np.concatenate(chunks), simulate_terminal(ref_params, 1.0, cfg))
+        blocks = [block.copy() for block in terminal_chunks(ref_params, 1.0, cfg)]
+        assert [b.size for b in blocks] == [32_768] * 16 + [3]
+        assert np.array_equal(np.concatenate(blocks), simulate_terminal(ref_params, 1.0, cfg))
+
+    @pytest.mark.parametrize(
+        "paths", [1, 32_767, 32_768, 32_769, 262_144, 262_145, 1_000_000]
+    )
+    def test_blocks_have_the_bits_of_whole_chunk_fills(self, ref_params, paths):
+        # Each chunk's stream drawn at once into a fresh array, then mapped.
+        chunk = 262_144
+        z = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(entropy=17, spawn_key=(i,)))
+            .standard_normal(min(chunk, paths - start))
+            for i, start in enumerate(range(0, paths, chunk))
+        ])
+        expected = terminal_price(ref_params, 1.0, z, ref_params.drift)
+        streamed = np.concatenate(
+            [block.copy() for block in terminal_chunks(ref_params, 1.0, McConfig(paths, 17))]
+        )
+        assert streamed.tobytes() == expected.tobytes()
 
 
 def parent_conditional_loss(values):

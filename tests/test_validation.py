@@ -1,8 +1,9 @@
 """Tests for the cross-check suite: each costly step runs once, values unchanged.
 
 The suite shares one quote between its Monte Carlo and grid checks and one
-quadrature rule between the four loss integrands, and the Monte Carlo check
-streams its sample through running moments. These tests pin that the shared
+quadrature rule between every tested hedge fraction's loss integrands, and
+the Monte Carlo check streams its sample block by block through running
+moments. These tests pin that the shared
 and streamed versions give the values of the step-by-step, whole-array ones
 (the streamed moments bit for bit those of a block-wise boolean-index
 pass), and that a sample too small for a finite Monte Carlo band, or a
@@ -12,7 +13,10 @@ bound round-trips through its out-of-the-money put. Each
 tolerance-bounded check passes at half its tolerance and fails at twice
 it, with its exact detail text. The two threshold property
 checks test the caller's market on a 100-point hedge grid and fail, with a
-count, when a cut point is out of order or a log argument falls.
+count, when a cut point is out of order or a log argument falls. The
+quadrature risk check skips and counts a hedge fraction whose loss event
+has no weight on the rule, and a contract below the premium floor raises
+EmptyDomain before any check runs.
 """
 
 import math
@@ -27,8 +31,10 @@ import fairhedge.equilibrium as eq
 import fairhedge.validation as validation
 from fairhedge import (
     DegenerateLoss,
+    EmptyDomain,
     MarketParams,
     McConfig,
+    NoLossEvents,
     NumericConfig,
     OptionContract,
     bs_call_price,
@@ -238,14 +244,12 @@ def whole_array_mc_moments(params, contract, cfg, quote):
 def blockwise_boolean_index_moments(params, contract, cfg, quote):
     """The streamed pass's three RunningMoments, selecting with v[v > 0]."""
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
-    for chunk in terminal_chunks(params, contract.expiry, cfg):
-        for start in range(0, chunk.size, validation._MC_BLOCK):
-            terminal = chunk[start : start + validation._MC_BLOCK]
-            payoff.add(np.maximum(terminal - contract.strike, 0.0))
-            v = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
-            writer.add(v[v > 0])
-            v = eq.holder_loss(params, contract, quote.price, terminal)
-            holder.add(v[v > 0])
+    for terminal in terminal_chunks(params, contract.expiry, cfg):
+        payoff.add(np.maximum(terminal - contract.strike, 0.0))
+        v = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
+        writer.add(v[v > 0])
+        v = eq.holder_loss(params, contract, quote.price, terminal)
+        holder.add(v[v > 0])
     return payoff, writer, holder
 
 
@@ -303,6 +307,79 @@ def test_mc_check_holds_no_path_sized_array(ref_params, ref_contract):
         tracemalloc.stop()
     assert result.passed
     assert peak < 6e6
+
+
+def test_suite_traced_peak_stays_under_two_mib(ref_params, ref_contract):
+    # With the chunk-sized draw buffer of 262,144 paths (2 MiB) the 1e6-path
+    # suite peaked at about 3.5 MiB; blocks of 32,768 paths put it near 1.65.
+    run_all_checks(ref_params, ref_contract, mc_cfg=McConfig(paths=10))
+    tracemalloc.start()
+    try:
+        results = run_all_checks(ref_params, ref_contract, mc_cfg=McConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 2 * 2**20
+
+
+def test_risks_check_shares_one_rule_between_its_fractions(monkeypatch, ref_params, ref_contract):
+    rules = []
+    original = validation.quad_rule
+
+    def recorded(breakpoints=()):
+        rules.append(list(breakpoints))
+        return original(breakpoints)
+
+    monkeypatch.setattr(validation, "quad_rule", recorded)
+    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    assert result.passed
+    assert len(rules) == 1 and len(rules[0]) == 4 * 4
+
+
+# At x = 0.75 the writer loses only on Z > d2 = 10.29 (d1 = -22.8), so the
+# rule on z in [-10, 10] puts no weight on that loss event, whose closed-form
+# probability is 4.0e-25; x = 0, 0.25 and 0.5 keep theirs.
+NO_QUADRATURE_WEIGHT_AT_3_4 = (
+    MarketParams(spot=100.0, drift=0.1, volatility=0.005, risk_free=0.05),
+    OptionContract(strike=100.0, expiry=0.5),
+)
+
+
+def test_risks_check_skips_a_fraction_whose_loss_event_has_no_quadrature_weight():
+    params, contract = NO_QUADRATURE_WEIGHT_AT_3_4
+    report = eq.writer_risk(params, contract, 0.75)
+    assert report.thresholds.d1 < -10 < 10 < report.thresholds.d2 and report.loss_prob > 0
+    with pytest.raises(NoLossEvents, match="no weight on a loss event at x=0.75"):
+        quadrature_risk(params, contract, 0.75, report.fair_price)
+    result = check_risks_vs_quadrature(params, contract)
+    assert result.passed, result.detail
+    assert result.detail.endswith(" over 3 hedge fractions, 1 skipped (tol 1e-08)")
+    results = run_all_checks(params, contract, mc_cfg=McConfig(paths=10_000))
+    assert len(results) == 9
+
+
+def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, ref_contract):
+    monkeypatch.setattr(validation, "_quadrature_risks", lambda p, c, priced: [None] * len(priced))
+    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    assert (result.passed, result.detail) == (
+        False, "max rel err 0.000e+00 over 0 hedge fractions, 4 skipped (tol 1e-08)"
+    )
+
+
+def test_suite_below_the_premium_floor_raises_empty_domain_before_any_check(monkeypatch):
+    # The expected payoff rounds to -1.04e-322, so x_max and the property grid
+    # are negative: a check would reject the hedge fraction as a config error.
+    params = MarketParams(spot=100.0, drift=0.06, volatility=0.005, risk_free=0.0)
+    contract = OptionContract(strike=102.0, expiry=0.01)
+    assert eq._RiskKernel(params, contract).x_max < 0
+
+    def first_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(validation, "check_implied_vol_round_trip", first_check)
+    with pytest.raises(EmptyDomain, match="below 1e-08 of spot 100.0"):
+        run_all_checks(params, contract, mc_cfg=McConfig(paths=10_000))
 
 
 # A deep in-the-money call whose sigma = 0.05 trial call price sits exactly
