@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .core import (
+    _SQRT2,
     MarketParams,
     NumericConfig,
     OptionContract,
@@ -75,6 +76,9 @@ _PREMIUM_FLOOR = 1e-8
 
 # A loss probability under the smallest normal float keeps too few bits to divide by.
 _NORMAL_MIN = sys.float_info.min
+
+# Bound once: writer_terms runs about a thousand times per quote.
+_erfc, _log = math.erfc, math.log
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,24 +214,43 @@ class _RiskKernel:
         return RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=self._d_prime(price))
 
     def writer_terms(self, x: float) -> tuple[float, ...]:
-        """(price, d1, d2, loss_prob, partial_call, partial_stock, gamma_W): the scan objective."""
-        price = self.fair_price(x)
-        d1, d2 = self._d1_d2(x, price)
-        sig_sqrt_t, grown_spot, compounding = self.sig_sqrt_t, self.grown_spot, self.compounding
+        """(price, d1, d2, loss_prob, partial_call, partial_stock, gamma_W): the scan objective.
+
+        One frame computes the price, the cut points and the four tails in the
+        operation order of fair_price, thresholds and std_normal_cdf: the same bits.
+        """
+        if not 0.0 <= x < 1.0:
+            raise ValueError(f"hedge fraction must lie in [0, 1), got {x}")
+        s0, sig_sqrt_t, shift, compounding = self.spot, self.sig_sqrt_t, self.shift, self.compounding
+        price = self.discount * (self.expected_payoff - 0.5 * x * self.edge)
+        if not price > 0:
+            raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
+        stock_cover = x * s0 - price
+        if stock_cover <= 0:
+            d1 = -math.inf
+        else:
+            d1 = (_log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
+        d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
+        if d2_arg <= 0:
+            raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
+        d2 = (_log(d2_arg) + shift) / sig_sqrt_t
         # Survival probabilities are N(-z), not 1 - N(z), to keep relative
-        # precision in the tails; a -inf d1 contributes nothing.
-        upper_tail = std_normal_cdf(-d2)
-        loss_prob = std_normal_cdf(d1) + upper_tail
+        # precision in the tails; a -inf d1 contributes nothing. N(z) is
+        # 0.5 erfc(-z / sqrt 2), so N(-z) is 0.5 erfc(z / sqrt 2).
+        upper_tail = 0.5 * _erfc(d2 / _SQRT2)
+        loss_prob = 0.5 * _erfc(-d1 / _SQRT2) + upper_tail
         if not loss_prob >= _NORMAL_MIN:
             size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
             raise DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
-        upper_tail_shifted = std_normal_cdf(-(d2 - sig_sqrt_t))
-        partial_call = grown_spot * upper_tail_shifted - self.strike * upper_tail
-        partial_stock = grown_spot * (std_normal_cdf(d1 - sig_sqrt_t) + upper_tail_shifted)
+        upper_tail_shifted = 0.5 * _erfc((d2 - sig_sqrt_t) / _SQRT2)
+        partial_call = self.grown_spot * upper_tail_shifted - self.strike * upper_tail
+        partial_stock = self.grown_spot * (
+            0.5 * _erfc(-(d1 - sig_sqrt_t) / _SQRT2) + upper_tail_shifted
+        )
         gamma_w = (
             partial_call / loss_prob
             - x * partial_stock / loss_prob
-            + x * self.spot * compounding
+            + x * s0 * compounding
             - price * compounding
         )
         return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w

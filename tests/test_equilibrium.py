@@ -5,11 +5,13 @@ the reference scenario, live quadrature on random draws, and seeded Monte
 Carlo within standard-error bands.
 """
 
+import importlib.util
 import itertools
 import math
 import pickle
 import sys
 from dataclasses import FrozenInstanceError, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from fairhedge import (
     quad_expectation,
     revalue_at_time,
     simulate_terminal,
+    std_normal_cdf,
     volatility_smile,
     writer_loss,
     writer_risk,
@@ -44,6 +47,8 @@ from fairhedge import equilibrium
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import terminal_price
 from fairhedge.validation import check_physical_parity, draw_suite, quadrature_risk, rel_err
+
+OUTPUT_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
 # Frozen values for the reference scenario, verified against the
 # quadrature oracle (agreement well under 1e-8 relative).
@@ -299,8 +304,9 @@ class TestWriterRisk:
             writer_risk(params, contract, 0.0)
 
 
-def exact_writer_risk(params, contract, x):
-    """gamma_W of the writer_risk docstring's closed forms, evaluated with 60-digit mpmath."""
+def exact_risks(params, contract, x):
+    """(price, loss_prob, gamma_W, gamma_H) of the writer_risk docstring's closed forms,
+    evaluated with 60-digit mpmath at the exact float inputs."""
     import mpmath
 
     with mpmath.workdps(60):
@@ -314,13 +320,70 @@ def exact_writer_risk(params, contract, x):
         payoff = grown * n(d_mu) - k * n(d_mu - s)
         price = (payoff - x * (grown - s0 * compounding) / 2) / compounding
         shift = sig**2 * t / 2 - mu * t
-        d1 = (mpmath.log((x * s0 - price) * compounding / (s0 * x)) + shift) / s
+        if x * s0 <= price:  # the writer cannot lose on a dead call
+            d1 = -mpmath.inf
+        else:
+            d1 = (mpmath.log((x * s0 - price) * compounding / (s0 * x)) + shift) / s
         d2 = (mpmath.log((k + (price - x * s0) * compounding) / (s0 * (1 - x))) + shift) / s
         prob = n(d1) + n(-d2)
         partial_call = grown * n(-(d2 - s)) - k * n(-d2)
         partial_stock = grown * (n(d1 - s) + n(-(d2 - s)))
-        gamma = (partial_call - x * partial_stock) / prob + (x * s0 - price) * compounding
-        return float(gamma)
+        gamma_w = (partial_call - x * partial_stock) / prob + (x * s0 - price) * compounding
+        d = (mpmath.log(k / s0) + shift) / s
+        d_prime = (mpmath.log((k + price * compounding) / s0) + shift) / s
+        in_band = grown * (n(d_prime - s) - n(d - s)) - k * (n(d_prime) - n(d))
+        gamma_h = price * compounding - in_band / n(d_prime)
+        return tuple(float(v) for v in (price, prob, gamma_w, gamma_h))
+
+
+def exact_writer_risk(params, contract, x):
+    """gamma_W of the writer_risk docstring's closed forms, evaluated with 60-digit mpmath."""
+    return exact_risks(params, contract, x)[2]
+
+
+class TestHighPrecisionReference:
+    """report against exact_risks, with one relative budget for price, loss
+    probability and both risks, over the 150 markets of draw_suite(150, seed=7)."""
+
+    BUDGET = 1e-9
+    BOUNDARY = 83  # the one market of the sample whose quote sits on x_hi
+
+    @staticmethod
+    def relative_errors(params, contract, x):
+        report = writer_risk(params, contract, x)
+        got = (report.fair_price, report.loss_prob, report.writer_risk, report.holder_risk)
+        exact = exact_risks(params, contract, x)
+        names = ("price", "loss_prob", "writer_risk", "holder_risk")
+        return {name: abs(g - e) / abs(e) for name, g, e in zip(names, got, exact)}
+
+    def test_interior_quotes_and_fixed_fractions_are_within_the_budget(self):
+        on_boundary, checked = [], 0
+        for index, (params, contract, _) in enumerate(draw_suite(150, seed=7)):
+            x_hi = equilibrium._RiskKernel(params, contract).x_hi
+            x_star = minimize_writer_risk(params, contract).x_star
+            fractions = [x for x in (0.25, 0.5) if x <= x_hi]
+            if x_star == x_hi:
+                on_boundary.append(index)
+            else:
+                fractions.append(x_star)
+            for x in fractions:
+                errors = self.relative_errors(params, contract, x)
+                assert max(errors.values()) <= self.BUDGET, (index, x, errors)
+                checked += 1
+        assert on_boundary == [self.BOUNDARY]
+        assert checked == 437
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 5: a quote on x_hi keeps a premium off by 8.0e-4 "
+        "and a holder risk off by 2.0e-3",
+    )
+    def test_the_boundary_quote_is_within_the_budget(self):
+        params, contract, _ = list(draw_suite(150, seed=7))[self.BOUNDARY]
+        x_star = minimize_writer_risk(params, contract).x_star
+        errors = self.relative_errors(params, contract, x_star)
+        assert max(errors.values()) <= self.BUDGET, errors
 
 
 class TestSubnormalLossProbability:
@@ -470,6 +533,39 @@ class TestCompassRefinement:
         assert math.isfinite(quote.report.writer_risk)
 
 
+def output_digest():
+    """tools/output_digest.py as a module (its pools and low-volatility grid), sys.path restored."""
+    saved = sys.path[:]
+    try:
+        spec = importlib.util.spec_from_file_location("output_digest", OUTPUT_DIGEST)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def source_writer_terms(kernel, x):
+    """writer_terms rebuilt from the statements its frame copies: fair_price, thresholds
+    and std_normal_cdf, in writer_terms' own order of the remaining operations."""
+    price = kernel.fair_price(x)
+    cuts = kernel.thresholds(x, price)
+    d1, d2, s = cuts.d1, cuts.d2, kernel.sig_sqrt_t
+    loss_prob = std_normal_cdf(d1) + std_normal_cdf(-d2)
+    if not loss_prob >= sys.float_info.min:
+        raise DegenerateLoss(f"loss probability {loss_prob} at x={x}")
+    upper_tail_shifted = std_normal_cdf(-(d2 - s))
+    partial_call = kernel.grown_spot * upper_tail_shifted - kernel.strike * std_normal_cdf(-d2)
+    partial_stock = kernel.grown_spot * (std_normal_cdf(d1 - s) + upper_tail_shifted)
+    gamma_w = (
+        partial_call / loss_prob
+        - x * partial_stock / loss_prob
+        + x * kernel.spot * kernel.compounding
+        - price * kernel.compounding
+    )
+    return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w
+
+
 class TestScanObjective:
     def test_writer_terms_are_the_reports_bits_or_its_error(self):
         """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included: risk_at
@@ -494,6 +590,44 @@ class TestScanObjective:
                 assert kernel.risk_at(x).hex() == report.writer_risk.hex()
                 compared += 1
         assert compared > 10_000 and raised > 1_000
+
+    def test_writer_terms_keep_the_bits_of_fair_price_thresholds_and_the_cdf(self):
+        """writer_terms computes in one frame what fair_price, thresholds and std_normal_cdf
+        state; every output is theirs as float.hex, or both raise the same PricingError.
+
+        Markets: the 1,024 of the quote pool of seed 1 and every third market of
+        the low-volatility grid, whose loss probabilities reach the float floor.
+        Each market takes every 8th point of the 1e-3 grid up to the hedge cap,
+        at an offset that turns with the market, plus its x_hi.
+        """
+        digest = output_digest()
+        markets = [(digest.workloads._params(m), digest.workloads._contract(m))
+                   for m in digest.workloads.WORKLOADS["quote"](1).inputs]
+        for sigma, t, moneyness, mu, r in itertools.islice(
+            itertools.product(*digest.LOWVOL.values()), 0, None, 3
+        ):
+            markets.append((MarketParams(spot=100.0, drift=mu, volatility=sigma, risk_free=r),
+                            OptionContract(strike=100.0 * moneyness, expiry=t)))
+        last = int(equilibrium.MAX_HEDGE_FRACTION / 1e-3)
+        compared, raised = 0, set()
+        for index, (params, contract) in enumerate(markets):
+            kernel = equilibrium._RiskKernel(params, contract)
+            if kernel.below_premium_floor:  # never scanned; its x_hi can be below 0
+                continue
+            for x in [i * 1e-3 for i in range(index % 8, last + 1, 8)] + [kernel.x_hi]:
+                try:
+                    expected = source_writer_terms(kernel, x)
+                except PricingError as exc:
+                    with pytest.raises(PricingError) as caught:
+                        kernel.writer_terms(x)
+                    assert type(caught.value) is type(exc), (params, contract, x)
+                    raised.add(type(exc))
+                    continue
+                got = kernel.writer_terms(x)
+                assert [v.hex() for v in got] == [v.hex() for v in expected], (params, contract, x)
+                compared += 1
+        assert compared > 150_000, compared
+        assert raised == {NonpositivePrice, DegenerateLoss}
 
     def test_one_full_report_per_quote(self, ref_params, ref_contract, monkeypatch):
         calls = []
