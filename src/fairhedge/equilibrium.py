@@ -77,10 +77,6 @@ _PREMIUM_FLOOR = 1e-8
 # A loss probability under the smallest normal float keeps too few bits to divide by.
 _NORMAL_MIN = sys.float_info.min
 
-# Bound once: writer_terms runs about a thousand times per quote.
-_erfc, _log = math.erfc, math.log
-
-
 @dataclass(frozen=True, slots=True)
 class RiskThresholds:
     """Standardized-normal cut points delimiting the loss events.
@@ -229,23 +225,23 @@ class _RiskKernel:
         if stock_cover <= 0:
             d1 = -math.inf
         else:
-            d1 = (_log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
+            d1 = (math.log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
         d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
         if d2_arg <= 0:
             raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
-        d2 = (_log(d2_arg) + shift) / sig_sqrt_t
+        d2 = (math.log(d2_arg) + shift) / sig_sqrt_t
         # Survival probabilities are N(-z), not 1 - N(z), to keep relative
         # precision in the tails; a -inf d1 contributes nothing. N(z) is
         # 0.5 erfc(-z / sqrt 2), so N(-z) is 0.5 erfc(z / sqrt 2).
-        upper_tail = 0.5 * _erfc(d2 / _SQRT2)
-        loss_prob = 0.5 * _erfc(-d1 / _SQRT2) + upper_tail
+        upper_tail = 0.5 * math.erfc(d2 / _SQRT2)
+        loss_prob = 0.5 * math.erfc(-d1 / _SQRT2) + upper_tail
         if not loss_prob >= _NORMAL_MIN:
             size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
             raise DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
-        upper_tail_shifted = 0.5 * _erfc((d2 - sig_sqrt_t) / _SQRT2)
+        upper_tail_shifted = 0.5 * math.erfc((d2 - sig_sqrt_t) / _SQRT2)
         partial_call = self.grown_spot * upper_tail_shifted - self.strike * upper_tail
         partial_stock = self.grown_spot * (
-            0.5 * _erfc(-(d1 - sig_sqrt_t) / _SQRT2) + upper_tail_shifted
+            0.5 * math.erfc(-(d1 - sig_sqrt_t) / _SQRT2) + upper_tail_shifted
         )
         gamma_w = (
             partial_call / loss_prob

@@ -533,16 +533,28 @@ class TestCompassRefinement:
         assert math.isfinite(quote.report.writer_risk)
 
 
-def output_digest():
-    """tools/output_digest.py as a module (its pools and low-volatility grid), sys.path restored."""
-    saved = sys.path[:]
+def digest_inputs():
+    """The quote pool of seed 1 as (params, contract) pairs, and the low-volatility grid's axes.
+
+    Both are read through tools/output_digest.py. The pool comes from
+    perfbench/workloads.py (its WORKLOADS["quote"], _params and _contract),
+    so a change there must keep them, or change this helper. sys.path and
+    sys.modules are restored: no `workloads` module outlives the call.
+    """
+    saved_path, saved_workloads = sys.path[:], sys.modules.get("workloads")
     try:
         spec = importlib.util.spec_from_file_location("output_digest", OUTPUT_DIGEST)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        pool = digest.workloads
+        markets = [(pool._params(m), pool._contract(m)) for m in pool.WORKLOADS["quote"](1).inputs]
+        return markets, digest.LOWVOL
     finally:
-        sys.path[:] = saved
-    return module
+        sys.path[:] = saved_path
+        if saved_workloads is None:
+            sys.modules.pop("workloads", None)
+        else:
+            sys.modules["workloads"] = saved_workloads
 
 
 def source_writer_terms(kernel, x):
@@ -596,15 +608,14 @@ class TestScanObjective:
         state; every output is theirs as float.hex, or both raise the same PricingError.
 
         Markets: the 1,024 of the quote pool of seed 1 and every third market of
-        the low-volatility grid, whose loss probabilities reach the float floor.
+        the low-volatility grid, whose loss probabilities reach the float floor;
+        the pool depends on perfbench/workloads.py (see digest_inputs).
         Each market takes every 8th point of the 1e-3 grid up to the hedge cap,
         at an offset that turns with the market, plus its x_hi.
         """
-        digest = output_digest()
-        markets = [(digest.workloads._params(m), digest.workloads._contract(m))
-                   for m in digest.workloads.WORKLOADS["quote"](1).inputs]
+        markets, lowvol = digest_inputs()
         for sigma, t, moneyness, mu, r in itertools.islice(
-            itertools.product(*digest.LOWVOL.values()), 0, None, 3
+            itertools.product(*lowvol.values()), 0, None, 3
         ):
             markets.append((MarketParams(spot=100.0, drift=mu, volatility=sigma, risk_free=r),
                             OptionContract(strike=100.0 * moneyness, expiry=t)))

@@ -4,11 +4,11 @@ Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent ../parent --change . smile:1:10 quote:1:5
 
-Each spec is ``WORKLOAD:SEED[:PAIRS]`` (``--pairs`` gives the default
-count). Both checkouts are byte-compiled first (``python -m compileall -q
-src`` in each), so neither pays for compiling ``fairhedge`` in every
-process. Then each pair runs ``python3 perfbench/run.py --workload W --seed
-S --seconds T`` once in each checkout, each from its own directory; even
+Each spec is ``WORKLOAD:SEED[:PAIRS]``; PAIRS defaults to 10. Both
+checkouts are byte-compiled first (``python -m compileall -q src`` in
+each), so neither pays for compiling ``fairhedge`` in every process.
+Then each pair runs ``python3 perfbench/run.py --workload W --seed S
+--seconds 20`` once in each checkout, each from its own directory; even
 pairs run the parent first and odd pairs the change first, so a drift of
 the machine's speed during a pair does not always favour one side.
 
@@ -31,35 +31,35 @@ import sys
 from pathlib import Path
 
 TREES = ("parent", "change")
+PAIRS = 10
+SECONDS = 20
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each run")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of a spec without its own")
     parser.add_argument("--raw", type=Path, help="write each run's result here as JSON lines")
     parser.add_argument("specs", nargs="+", metavar="WORKLOAD:SEED[:PAIRS]")
     args = parser.parse_args(argv)
-    args.specs = [parse_spec(spec, args.pairs, parser) for spec in args.specs]
+    args.specs = [parse_spec(spec, parser) for spec in args.specs]
     return args
 
 
-def parse_spec(spec: str, pairs: int, parser: argparse.ArgumentParser) -> tuple[str, int, int]:
+def parse_spec(spec: str, parser: argparse.ArgumentParser) -> tuple[str, int, int]:
     parts = spec.split(":")
     if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts[1:]):
         parser.error(f"spec must be WORKLOAD:SEED[:PAIRS], got {spec!r}")
-    pairs = int(parts[2]) if len(parts) == 3 else pairs
+    pairs = int(parts[2]) if len(parts) == 3 else PAIRS
     if pairs < 2:
         parser.error(f"quartiles need at least 2 pairs, got {spec!r}")
     return parts[0], int(parts[1]), pairs
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """The final JSON line of one perfbench run in checkout."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
             for pair in range(pairs):
                 order = TREES if pair % 2 == 0 else TREES[::-1]
                 for tree in order:
-                    result = run_once(checkouts[tree], workload, seed, args.seconds)
+                    result = run_once(checkouts[tree], workload, seed)
                     runs[tree].append(result)
                     if raw:
                         print(json.dumps({"workload": workload, "seed": seed, "pair": pair,
