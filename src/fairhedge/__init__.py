@@ -29,11 +29,9 @@ from .equilibrium import (
     SmilePoint,
     expected_profits,
     fair_price,
-    holder_loss,
     minimize_writer_risk,
     revalue_at_time,
     volatility_smile,
-    writer_loss,
     writer_risk,
 )
 from .errors import (
@@ -71,9 +69,13 @@ __all__ = [
 ]
 
 
-# The oracles need numpy, which the closed forms do not: resolve their names
-# on first use (PEP 562), so that importing the library leaves numpy unloaded.
-_ORACLE_NAMES = {"McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation"}
+# The oracles and the realized losses they score need numpy, which the closed
+# forms do not: resolve their names on first use (PEP 562), so that importing
+# the library leaves numpy unloaded.
+_ORACLE_NAMES = {
+    "McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+    "writer_loss", "holder_loss",
+}
 
 
 def __getattr__(name: str):

@@ -27,7 +27,7 @@ from .core import (
     expected_call_payoff_physical,
     std_normal_cdf,
 )
-from .errors import DegenerateMarket, NonpositivePrice, PricingError
+from .errors import NonpositivePrice, PricingError
 
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
@@ -301,12 +301,11 @@ def cmd_risk_curve(cfg: RunConfig) -> int:
         raise ValueError(f"grid value {cfg.x} outside [0, {eq.MAX_HEDGE_FRACTION}]")
     header = ["x", "price", "writer_risk", "holder_risk", "loss_prob",
               "d1", "d", "d2", "d_prime", "error"]
+    kernel = eq._RiskKernel(params, contract)  # the only step that raises DegenerateMarket
     rows = []
     for x in grid:
         try:
-            rows.append(_report_row(eq.writer_risk(params, contract, x), "x"))
-        except DegenerateMarket:
-            raise
+            rows.append(_report_row(kernel.report(x), "x"))
         except PricingError as exc:
             rows.append({"x": x, "error": f"{type(exc).__name__}: {exc}"})
     _emit(cfg, _render(rows, header, cfg.format))

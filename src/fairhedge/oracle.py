@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import MarketParams, McConfig
+from .core import MarketParams, McConfig, OptionContract, rate_factors
 from .errors import NoLossEvents
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
     "RunningMoments",
     "terminal_price",
     "terminal_chunks",
+    "writer_loss",
+    "holder_loss",
     "simulate_terminal",
     "mc_conditional_loss",
     "quad_rule",
@@ -112,6 +114,47 @@ def simulate_terminal(
     for start, block in zip(range(0, cfg.paths, _BLOCK), terminal_chunks(params, expiry, cfg)):
         out[start : start + block.size] = block
     return out
+
+
+def _realized_losses(
+    params: MarketParams, contract: OptionContract, x: float, price: float, terminal, out=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C(T), writer loss, holder loss) at terminal prices, C(T) = (S(T)-K)^+ computed once.
+
+    The one statement of the loss formulas, in their operation order. The
+    three arrays are new (0-d for a scalar), or the rows of out, an array
+    of shape (3, len(terminal)), when given.
+    """
+    s = np.asarray(terminal, dtype=float)
+    payoff, writer, holder = (np.empty_like(s) for _ in range(3)) if out is None else out
+    compounding = rate_factors(params, contract.expiry)[1]
+    premium = price * compounding
+    np.subtract(s, contract.strike, out=payoff)
+    np.maximum(payoff, 0.0, out=payoff)
+    np.subtract(s, params.spot * compounding, out=writer)
+    writer *= x
+    np.subtract(payoff, writer, out=writer)
+    writer -= premium
+    np.subtract(premium, payoff, out=holder)
+    return payoff, writer, holder
+
+
+def writer_loss(
+    params: MarketParams, contract: OptionContract, x: float, price: float, terminal: np.ndarray
+) -> np.ndarray:
+    """Realized writer loss C(T) - x (S(T) - S0 e^{rT}) - price e^{rT}.
+
+    Vectorized over terminal prices; the definitional counterpart of the
+    closed-form risk, used by the simulation and quadrature cross-checks.
+    """
+    return _realized_losses(params, contract, x, price, terminal)[1]
+
+
+def holder_loss(
+    params: MarketParams, contract: OptionContract, price: float, terminal: np.ndarray
+) -> np.ndarray:
+    """Realized holder loss price e^{rT} - C(T), vectorized over terminal prices."""
+    return _realized_losses(params, contract, 0.0, price, terminal)[2]
 
 
 class RunningMoments:

@@ -32,6 +32,7 @@ from .core import (
 from .errors import NoLossEvents, PricingError
 from .oracle import (
     _BLOCK,
+    _realized_losses,
     RunningMoments,
     quad_expectation,
     quad_rule,
@@ -230,7 +231,7 @@ def _quadrature_risks(
     terminal = terminal_price(params, contract.expiry, z, params.drift)
     risks = []
     for x, price in priced:
-        _, w_loss, h_loss = eq._realized_losses(params, contract, x, price, terminal)
+        _, w_loss, h_loss = _realized_losses(params, contract, x, price, terminal)
         prob = float(np.dot(weights, (w_loss > 0).astype(float)))
         h_prob = float(np.dot(weights, (h_loss > 0).astype(float)))
         if prob == 0.0 or h_prob == 0.0:
@@ -309,7 +310,7 @@ def check_mc_agreement(
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     losses = np.empty((3, min(_BLOCK, n)))
     for block in terminal_chunks(params, contract.expiry, mc_cfg):
-        payoffs, w_loss, h_loss = eq._realized_losses(
+        payoffs, w_loss, h_loss = _realized_losses(
             params, contract, quote.x_star, quote.price, block, out=losses[:, : block.size]
         )
         payoff.add(payoffs)

@@ -91,7 +91,9 @@ def test_star_import_binds_every_public_name():
 
 
 def test_oracle_names_resolved_on_first_use_are_the_oracle_objects():
-    for name in ("McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation"):
+    names = ("McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+             "writer_loss", "holder_loss")
+    for name in names:
         assert getattr(fairhedge, name) is getattr(oracle, name), name
     assert fairhedge.McConfig is core.McConfig is oracle.McConfig
 

@@ -43,7 +43,13 @@ from fairhedge import (
     simulate_terminal,
 )
 from fairhedge.core import rate_factors
-from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
+from fairhedge.oracle import (
+    RunningMoments,
+    holder_loss,
+    terminal_chunks,
+    terminal_price,
+    writer_loss,
+)
 from fairhedge.validation import (
     check_fair_play_identity,
     check_implied_vol_round_trip,
@@ -128,11 +134,11 @@ def quadrature_risk_by_four_rules(params, contract, x, price):
 
     def w_loss(z):
         terminal = terminal_price(params, contract.expiry, z, params.drift)
-        return eq.writer_loss(params, contract, x, price, terminal)
+        return writer_loss(params, contract, x, price, terminal)
 
     def h_loss(z):
         terminal = terminal_price(params, contract.expiry, z, params.drift)
-        return eq.holder_loss(params, contract, price, terminal)
+        return holder_loss(params, contract, price, terminal)
 
     cuts = [th.d1, th.d, th.d2, th.d_prime]
     prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), cuts)
@@ -221,8 +227,8 @@ def whole_array_mc_moments(params, contract, cfg, quote):
     sample = simulate_terminal(params, contract.expiry, cfg)
     n = sample.size
     payoff = np.maximum(sample - contract.strike, 0.0)
-    w_losses = eq.writer_loss(params, contract, quote.x_star, quote.price, sample)
-    h_losses = eq.holder_loss(params, contract, quote.price, sample)
+    w_losses = writer_loss(params, contract, quote.x_star, quote.price, sample)
+    h_losses = holder_loss(params, contract, quote.price, sample)
     w_pos, h_pos = w_losses[w_losses > 0], h_losses[h_losses > 0]
     p_hat = float((w_losses > 0).mean())
     estimates = {
@@ -246,9 +252,9 @@ def blockwise_boolean_index_moments(params, contract, cfg, quote):
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     for terminal in terminal_chunks(params, contract.expiry, cfg):
         payoff.add(np.maximum(terminal - contract.strike, 0.0))
-        v = eq.writer_loss(params, contract, quote.x_star, quote.price, terminal)
+        v = writer_loss(params, contract, quote.x_star, quote.price, terminal)
         writer.add(v[v > 0])
-        v = eq.holder_loss(params, contract, quote.price, terminal)
+        v = holder_loss(params, contract, quote.price, terminal)
         holder.add(v[v > 0])
     return payoff, writer, holder
 
