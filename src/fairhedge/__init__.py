@@ -69,13 +69,10 @@ __all__ = [
 ]
 
 
-# The oracles and the realized losses they score need numpy, which the closed
-# forms do not: resolve their names on first use (PEP 562), so that importing
-# the library leaves numpy unloaded.
-_ORACLE_NAMES = {
-    "McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
-    "writer_loss", "holder_loss",
-}
+# The oracles and the losses they score need numpy, which the closed forms do not:
+# resolve their names on first use (PEP 562), so importing the library leaves numpy unloaded.
+_ORACLE_NAMES = {"McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+                 "writer_loss", "holder_loss"}
 
 
 def __getattr__(name: str):

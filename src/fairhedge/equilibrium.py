@@ -19,6 +19,8 @@ closed forms driven by four standardized-normal cut points:
     d'  upper edge of the holder's loss region
 
 The writer loses on {Z <= d1} or {Z > d2}; the holder loses on {Z < d'}.
+Everything here is scalar closed forms on the math module; the realized
+losses that the oracles score path by path live in oracle.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ The simulator draws exact lognormal terminal prices (the SDE has a closed
 solution, so there is no time-stepping error) from one random stream per
 chunk, block by block into one reused block buffer, and RunningMoments
 folds a sample into a mean and standard error block by block, so an
-estimate needs no path-sized array. The quadrature computes
-E[f(Z)] for Z ~ N(0,1) with a composite Gauss-Legendre rule. Indicator
-discontinuities should be passed as breakpoints so every panel sees a
-smooth integrand.
+estimate needs no path-sized array. writer_loss and holder_loss score
+terminal prices by the definitions of the two losses, path by path. The
+quadrature computes E[f(Z)] for Z ~ N(0,1) with a composite
+Gauss-Legendre rule, summed in a fixed order. Indicator discontinuities
+should be passed as breakpoints so every panel sees a smooth integrand.
 """
 
 from __future__ import annotations
@@ -247,8 +248,10 @@ def quad_rule(breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray
     Panels never straddle a breakpoint, so integrands that are smooth
     between breakpoints (indicators times exponential-affine pieces)
     integrate to near machine precision. The weights already carry the
-    normal density, so E[f(Z)] is np.dot(weights, f(z)); one rule serves
-    every integrand that shares the breakpoints.
+    normal density, so E[f(Z)] is the sum of weights * f(z); one rule
+    serves every integrand that shares the breakpoints. Sum it with
+    np.add.reduce, whose order is fixed: np.dot may split the sum across
+    BLAS threads, so its last bits depend on the thread count.
 
     Args:
         breakpoints: z locations of kinks or jumps; values outside the
@@ -259,21 +262,17 @@ def quad_rule(breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray
     """
     lo, hi = _Z_WINDOW
     cuts = sorted({lo, hi, *(b for b in breakpoints if math.isfinite(b) and lo < b < hi)})
-    edges: list[np.ndarray] = []
+    lefts, rights = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        n = max(1, round(_PANELS * (b - a) / (hi - lo)))
-        edges.append(np.linspace(a, b, n + 1))
-    z_parts = []
-    w_parts = []
-    for edge in edges:
-        left, right = edge[:-1], edge[1:]
-        half = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        # nodes shape: (panels, order) flattened in panel order
-        z_parts.append((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-        w_parts.append((half[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    z = np.concatenate(z_parts)
-    w = np.concatenate(w_parts)
+        edge = np.linspace(a, b, max(1, round(_PANELS * (b - a) / (hi - lo))) + 1)
+        lefts.append(edge[:-1])
+        rights.append(edge[1:])
+    left, right = np.concatenate(lefts), np.concatenate(rights)
+    half = (0.5 * (right - left))[:, None]
+    mid = (0.5 * (right + left))[:, None]
+    # nodes shape: (panels, order) flattened in panel order
+    z = (mid + half * _GL_NODES).ravel()
+    w = (half * _GL_WEIGHTS).ravel()
     density = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     return z, w * density
 
@@ -287,4 +286,4 @@ def quad_expectation(
     integrand values; see quad_rule for breakpoints.
     """
     z, weights = quad_rule(breakpoints)
-    return float(np.dot(weights, np.asarray(integrand(z), dtype=float)))
+    return float(np.add.reduce(weights * np.asarray(integrand(z), dtype=float)))

@@ -232,13 +232,14 @@ def _quadrature_risks(
     risks = []
     for x, price in priced:
         _, w_loss, h_loss = _realized_losses(params, contract, x, price, terminal)
-        prob = float(np.dot(weights, (w_loss > 0).astype(float)))
-        h_prob = float(np.dot(weights, (h_loss > 0).astype(float)))
+        # Summed in numpy's fixed order, as quad_expectation sums: the same bits.
+        prob = float(np.add.reduce(weights * (w_loss > 0)))
+        h_prob = float(np.add.reduce(weights * (h_loss > 0)))
         if prob == 0.0 or h_prob == 0.0:
             risks.append(None)
             continue
-        w_cond = float(np.dot(weights, np.maximum(w_loss, 0.0))) / prob
-        h_cond = float(np.dot(weights, np.maximum(h_loss, 0.0))) / h_prob
+        w_cond = float(np.add.reduce(weights * np.maximum(w_loss, 0.0))) / prob
+        h_cond = float(np.add.reduce(weights * np.maximum(h_loss, 0.0))) / h_prob
         risks.append((prob, w_cond, h_cond))
     return risks
 

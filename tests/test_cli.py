@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface.
 
 Commands run in a subprocess so exit codes, stdout/stderr separation and
-output files are exercised exactly as a user sees them.
+output files are exercised exactly as a user sees them; a test that counts
+calls inside a command runs it in process.
 """
 
 import csv
@@ -12,6 +13,8 @@ import sys
 
 import pytest
 
+from fairhedge import MarketParams, OptionContract, PricingError, cli
+from fairhedge import equilibrium as eq
 from fairhedge.cli import SMILE_CSV_HEADER, parse_config
 
 EX_ARGS = ["--s0", "100", "--mu", "0.10", "--sigma", "0.2", "--r", "0.05", "--t", "1"]
@@ -223,6 +226,34 @@ class TestRiskCurveCommand:
         markers = [row["error"] for row in rows]
         assert any(m == "" for m in markers)
         assert any("NonpositivePrice" in m for m in markers)
+
+    def test_one_kernel_gives_the_writer_risk_reports_bit_for_bit(self, monkeypatch, capsys):
+        # In process, to count kernel constructions: one per command.
+        constructions = []
+        init = eq._RiskKernel.__init__
+
+        def counted(kernel, *args):
+            constructions.append(args)
+            init(kernel, *args)
+
+        monkeypatch.setattr(eq._RiskKernel, "__init__", counted)
+        args = [*EX_ARGS, "--strike", "220", "--grid-step", "0.05", "--format", "json"]
+        assert cli.main(["risk-curve", *args]) == 0
+        assert len(constructions) == 1
+        rows = json.loads(capsys.readouterr().out)
+        params = MarketParams(spot=100.0, drift=0.10, volatility=0.2, risk_free=0.05)
+        contract = OptionContract(strike=220.0, expiry=1.0)
+        assert [row["x"] for row in rows] == [i * 0.05 for i in range(20)]
+        errors = 0
+        for row in rows:
+            try:
+                expected = cli._report_row(eq.writer_risk(params, contract, row["x"]), "x")
+            except PricingError as exc:
+                expected = {"x": row["x"], "error": f"{type(exc).__name__}: {exc}"}
+                errors += 1
+            assert row == {key: cli._json_cell(expected.get(key)) for key in row}
+        assert 0 < errors < len(rows)
+        assert all(row["error"].startswith("NonpositivePrice: ") for row in rows[-errors:])
 
 
 class TestSmileCommand:

@@ -6,7 +6,8 @@ those names from its sources, without importing it, so renaming or removing
 a traced function fails here. The settings pins make any growth of the
 configurable surface show up as a diff, and the CLI's flags are pinned per
 command and together to RunConfig's fields, whose Monte Carlo defaults are
-McConfig's.
+McConfig's. Every public annotation resolves, and an AST walk pins where
+each scalar module may reach numpy: the closed forms nowhere.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import dataclasses
 import importlib
 import inspect
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,65 @@ def test_oracle_names_resolved_on_first_use_are_the_oracle_objects():
     for name in names:
         assert getattr(fairhedge, name) is getattr(oracle, name), name
     assert fairhedge.McConfig is core.McConfig is oracle.McConfig
+
+
+@pytest.mark.parametrize(
+    "module", [fairhedge, cli, core, equilibrium, oracle, validation],
+    ids=lambda module: module.__name__,
+)
+def test_public_annotations_resolve(module):
+    # Annotations are strings under `from __future__ import annotations`;
+    # one that names a module-local import fails only when it is resolved.
+    public = [getattr(module, name) for name in module.__all__]
+    annotated = [obj for obj in public if inspect.isfunction(obj) or inspect.isclass(obj)]
+    assert annotated
+    for obj in annotated:
+        typing.get_type_hints(obj)
+
+
+# The modules that load numpy when imported.
+NUMPY_MODULES = {"numpy", "fairhedge.oracle", "fairhedge.validation"}
+# Per module, the (enclosing function, module) pairs through which it reaches numpy.
+NUMPY_IMPORTS = {
+    "core": set(),
+    "equilibrium": set(),
+    "errors": set(),
+    "cli": {("cmd_validate", "fairhedge.validation")},
+    "__init__": {("__getattr__", "fairhedge.oracle")},
+}
+
+
+def numpy_imports(module: str) -> set[tuple[str | None, str]]:
+    """(enclosing function or None, imported module) of every import in the module's
+    source, function bodies included, that loads numpy."""
+    source = (Path(fairhedge.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        targets = []
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # the package's own imports are relative
+            base = ".".join(filter(None, ["fairhedge" if node.level else "", node.module]))
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        for target in targets:
+            target = "numpy" if target.split(".")[0] == "numpy" else target
+            if target in NUMPY_MODULES:
+                found.add((function, target))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", list(NUMPY_IMPORTS))
+def test_numpy_is_reached_only_where_the_program_samples(module):
+    # The closed forms are pure math; the CLI loads numpy only for validate,
+    # and the package only when an oracle name is first used.
+    assert numpy_imports(module) == NUMPY_IMPORTS[module]
 
 
 def test_unknown_attribute_names_the_module_and_the_attribute():

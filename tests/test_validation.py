@@ -19,7 +19,11 @@ has no weight on the rule, and a contract below the premium floor raises
 EmptyDomain before any check runs.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -371,6 +375,37 @@ def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, re
     assert (result.passed, result.detail) == (
         False, "max rel err 0.000e+00 over 0 hedge fractions, 4 skipped (tol 1e-08)"
     )
+
+
+# Prints the details of the reference market's two quadrature checks.
+QUADRATURE_DETAILS_SCRIPT = """
+import json
+from fairhedge import MarketParams, OptionContract
+from fairhedge.validation import check_price_vs_quadrature, check_risks_vs_quadrature
+params = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
+contract = OptionContract(strike=100.0, expiry=1.0)
+checks = (check_price_vs_quadrature, check_risks_vs_quadrature)
+print(json.dumps([check(params, contract).detail for check in checks]))
+"""
+
+
+def test_quadrature_details_do_not_depend_on_the_blas_thread_count():
+    """The quadrature sums run in one fixed order, whatever the BLAS thread count.
+
+    A BLAS dot product may split a 24,000-node sum across threads, which
+    changes its last bits and so the printed relative errors; on the
+    reference market the risks check's detail then differs between one and
+    two OpenBLAS threads. A host with one CPU runs both processes on one
+    thread, so there this test cannot fail even for a thread-split sum.
+    """
+    details = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", QUADRATURE_DETAILS_SCRIPT],
+                                capture_output=True, text=True, env=env, check=True)
+        details.append(json.loads(result.stdout))
+    assert details[0] == details[1]
+    assert [detail.startswith("max rel err ") for detail in details[0]] == [True, True]
 
 
 def test_suite_below_the_premium_floor_raises_empty_domain_before_any_check(monkeypatch):
