@@ -146,7 +146,8 @@ class _RiskKernel:
     operation order, so the public wrappers, the minimizer and the checks
     give identical bits. The minimizer's objective risk_at is the writer's
     side only, or inf where writer_terms raises, so a point without a risk
-    never wins; report adds d' and the holder's risk to writer_terms.
+    never wins; report adds d' and the holder's risk to writer_terms, which
+    inlines the log_args formulas that thresholds and the checks call.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -170,7 +171,7 @@ class _RiskKernel:
         self.grown_spot = s0 * growth
         self.sig_sqrt_t = _sig_sqrt_t(sig, t)
         self.shift = 0.5 * sig * sig * t - mu * t
-        self.d = (math.log(contract.strike / s0) + self.shift) / self.sig_sqrt_t
+        self.d = self._cut(contract.strike / s0)
         self.cdf_d = std_normal_cdf(self.d)
         self.cdf_d_shifted = std_normal_cdf(self.d - self.sig_sqrt_t)
 
@@ -189,25 +190,25 @@ class _RiskKernel:
             raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
         return price
 
-    def _d1_d2(self, x: float, price: float) -> tuple[float, float]:
-        s0, sig_sqrt_t, shift, compounding = self.spot, self.sig_sqrt_t, self.shift, self.compounding
-        stock_cover = x * s0 - price
-        if stock_cover <= 0:
-            d1 = -math.inf
-        else:
-            d1 = (math.log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
-        d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
-        if d2_arg <= 0:
-            raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
-        return d1, (math.log(d2_arg) + shift) / sig_sqrt_t
+    def _cut(self, log_arg: float) -> float:
+        return (math.log(log_arg) + self.shift) / self.sig_sqrt_t
+
+    def log_args(self, x: float, price: float) -> tuple[float, float]:
+        """The raw d1 and d2 log arguments, nonpositive ones too; the d1 one is -inf at x = 0."""
+        s0, compounding = self.spot, self.compounding
+        d1_arg = (x * s0 - price) * compounding / (s0 * x) if x > 0 else -math.inf
+        return d1_arg, (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
 
     def _d_prime(self, price: float) -> float:
-        d_prime_arg = (self.strike + price * self.compounding) / self.spot
-        return (math.log(d_prime_arg) + self.shift) / self.sig_sqrt_t
+        return self._cut((self.strike + price * self.compounding) / self.spot)
 
     def thresholds(self, x: float, price: float) -> RiskThresholds:
-        d1, d2 = self._d1_d2(x, price)
-        return RiskThresholds(d1=d1, d=self.d, d2=d2, d_prime=self._d_prime(price))
+        d1_arg, d2_arg = self.log_args(x, price)
+        # d1 is -inf where the stock cover x S0 - price is nonpositive.
+        d1 = -math.inf if x * self.spot - price <= 0 else self._cut(d1_arg)
+        if d2_arg <= 0:
+            raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
+        return RiskThresholds(d1=d1, d=self.d, d2=self._cut(d2_arg), d_prime=self._d_prime(price))
 
     def writer_terms(self, x: float) -> tuple[float, ...]:
         """(price, d1, d2, loss_prob, partial_call, partial_stock, gamma_W): the scan objective.

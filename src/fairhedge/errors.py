@@ -44,4 +44,4 @@ class ExpiredContract(PricingError):
 
 
 class NoLossEvents(PricingError):
-    """A Monte Carlo sample or a quadrature rule sees no positive loss; estimate undefined."""
+    """A Monte Carlo loss sample has no positive entry; the conditional loss is undefined."""

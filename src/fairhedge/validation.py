@@ -29,7 +29,7 @@ from .core import (
     _implied_vol_otm,
     _otm_price,
 )
-from .errors import NoLossEvents, PricingError
+from .errors import PricingError
 from .oracle import (
     _BLOCK,
     _realized_losses,
@@ -205,33 +205,33 @@ def check_threshold_ordering(params: MarketParams, contract: OptionContract) -> 
 
 
 def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContract) -> CheckResult:
-    """The d1 and d2 log arguments never fall by over 1e-12 between property-grid points."""
+    """The kernel's d1 and d2 log arguments never fall by over 1e-12 between grid points."""
     kernel = eq._RiskKernel(params, contract)
-    xs, s0, compounding = _property_grid(kernel), params.spot, kernel.compounding
-    prices = np.array([kernel.fair_price(x) for x in xs.tolist()])
-    dead_call = (xs * s0 - prices) * compounding / (s0 * xs)
-    live_call = (contract.strike + (prices - xs * s0) * compounding) / (s0 * (1.0 - xs))
-    falls = (np.diff(dead_call) < -1e-12) | (np.diff(live_call) < -1e-12)
-    violations = int(np.count_nonzero(falls))
-    detail = f"{violations} violations in {xs.size} hedge fractions"
+    xs = _property_grid(kernel).tolist()
+    args = [kernel.log_args(x, kernel.fair_price(x)) for x in xs]
+    violations = sum(
+        now[0] - before[0] < -1e-12 or now[1] - before[1] < -1e-12
+        for before, now in zip(args, args[1:])
+    )
+    detail = f"{violations} violations in {len(xs)} hedge fractions"
     return CheckResult("threshold_arg_monotonicity", violations == 0, detail)
 
 
 def _quadrature_risks(
-    params: MarketParams, contract: OptionContract, priced: list[tuple[float, float]]
+    params: MarketParams, contract: OptionContract, reports: list[eq.RiskReport]
 ) -> list[tuple[float, float, float] | None]:
-    """quadrature_risk of each (x, price) pair on one rule, or None where it has no loss weight.
+    """Each report's loss probability and two risks by quadrature, or None with no loss weight.
 
-    The rule is cut at every pair's thresholds and one S(T) array serves
-    every pair's four integrands. A pair whose writer or holder loss event
-    gets no weight on the rule's window has no conditional risk: None.
+    Losses come from their definitions on one rule, cut at every report's
+    thresholds, and one S(T) array. A report whose writer or holder loss
+    event gets no weight on the rule's window has no conditional risk.
     """
-    thresholds = [eq.risk_thresholds(params, contract, x, price) for x, price in priced]
+    thresholds = [rep.thresholds for rep in reports]
     z, weights = quad_rule([cut for th in thresholds for cut in (th.d1, th.d, th.d2, th.d_prime)])
     terminal = terminal_price(params, contract.expiry, z, params.drift)
     risks = []
-    for x, price in priced:
-        _, w_loss, h_loss = _realized_losses(params, contract, x, price, terminal)
+    for rep in reports:
+        _, w_loss, h_loss = _realized_losses(params, contract, rep.x, rep.fair_price, terminal)
         # Summed in numpy's fixed order, as quad_expectation sums: the same bits.
         prob = float(np.add.reduce(weights * (w_loss > 0)))
         h_prob = float(np.add.reduce(weights * (h_loss > 0)))
@@ -241,24 +241,6 @@ def _quadrature_risks(
         w_cond = float(np.add.reduce(weights * np.maximum(w_loss, 0.0))) / prob
         h_cond = float(np.add.reduce(weights * np.maximum(h_loss, 0.0))) / h_prob
         risks.append((prob, w_cond, h_cond))
-    return risks
-
-
-def quadrature_risk(
-    params: MarketParams, contract: OptionContract, x: float, price: float
-) -> tuple[float, float, float]:
-    """Loss probability, writer risk and holder risk from quadrature alone.
-
-    Losses are evaluated from their definitions path by path; the closed-form
-    thresholds enter only as panel breakpoints to keep the rule high-order.
-
-    Raises:
-        NoLossEvents: If the rule puts no weight on the writer's or the
-            holder's loss event, which then lies outside z in [-10, 10].
-    """
-    (risks,) = _quadrature_risks(params, contract, [(x, price)])
-    if risks is None:
-        raise NoLossEvents(f"the quadrature rule puts no weight on a loss event at x={x}")
     return risks
 
 
@@ -276,9 +258,8 @@ def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) ->
             reports.append(kernel.report(x))
         except PricingError:
             continue
-    priced = [(report.x, report.fair_price) for report in reports]
     worst, tested = 0.0, 0
-    for report, risks in zip(reports, _quadrature_risks(params, contract, priced)):
+    for report, risks in zip(reports, _quadrature_risks(params, contract, reports)):
         if risks is not None:
             closed = (report.loss_prob, report.writer_risk, report.holder_risk)
             worst = max(worst, *map(rel_err, closed, risks))
@@ -320,8 +301,8 @@ def check_mc_agreement(
 
     for name, moments in (("writer_risk", writer), ("holder_risk", holder)):
         if moments.count < 2:
-            losses = "loss" if moments.count == 1 else "losses"
-            detail = f"{name} has {moments.count} positive {losses}; a band needs at least 2"
+            noun = "loss" if moments.count == 1 else "losses"
+            detail = f"{name} has {moments.count} positive {noun}; a band needs at least 2"
             return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
     payoff_est, w_est, h_est = payoff.estimate(), writer.estimate(), holder.estimate()
     # The writer loses on exactly the paths counted in its positive losses.

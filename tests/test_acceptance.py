@@ -32,7 +32,7 @@ from fairhedge import (
 )
 from fairhedge.equilibrium import _RiskKernel, risk_thresholds
 from fairhedge.oracle import terminal_price
-from fairhedge.validation import draw_suite, quadrature_risk, rel_err
+from fairhedge.validation import _quadrature_risks, draw_suite, rel_err
 
 PARAMS = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
 CONTRACT = OptionContract(strike=100.0, expiry=1.0)
@@ -161,7 +161,7 @@ def test_criterion_08_risks_vs_oracles():
     worst = 0.0
     for params, contract, x in draw_suite(1000, seed=2026, threshold_window=7.0):
         rep = writer_risk(params, contract, x)
-        prob_q, gamma_w_q, gamma_h_q = quadrature_risk(params, contract, x, rep.fair_price)
+        prob_q, gamma_w_q, gamma_h_q = _quadrature_risks(params, contract, [rep])[0]
         worst = max(
             worst,
             rel_err(rep.loss_prob, prob_q),

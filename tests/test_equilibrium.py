@@ -46,7 +46,7 @@ from fairhedge import (
 from fairhedge import equilibrium
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import terminal_price
-from fairhedge.validation import check_physical_parity, draw_suite, quadrature_risk, rel_err
+from fairhedge.validation import _quadrature_risks, check_physical_parity, draw_suite, rel_err
 
 OUTPUT_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -219,6 +219,20 @@ class TestRiskThresholds:
         with pytest.raises(ValueError, match=r"^price must be positive, got 0\.0$"):
             risk_thresholds(ref_params, ref_contract, 0.5, 0.0)
 
+    def test_log_args_are_the_raw_arguments_of_the_cut_points(self, ref_params, ref_contract):
+        # The d1 argument keeps its sign where the cover x S0 - price is
+        # negative (x = 0.01), and is -inf at x = 0, where nothing divides by x.
+        kernel = equilibrium._RiskKernel(ref_params, ref_contract)
+        args = {x: kernel.log_args(x, kernel.fair_price(x)) for x in (0.0, 0.01, 0.7212)}
+        assert args[0.0][0] == -math.inf and -math.inf < args[0.01][0] < 0 < args[0.7212][0]
+
+        def cut(arg):
+            return (math.log(arg) + kernel.shift) / kernel.sig_sqrt_t if arg > 0 else -math.inf
+
+        for x, (d1_arg, d2_arg) in args.items():
+            th = kernel.thresholds(x, kernel.fair_price(x))
+            assert (th.d1, th.d2) == (cut(d1_arg), cut(d2_arg))
+
     def test_domain_error_on_underpriced_hedged_book(self, ref_params):
         # A price far below fair with a big stock position pushes the d2
         # log argument negative.
@@ -262,12 +276,12 @@ class TestWriterRisk:
         report = writer_risk(ref_params, ref_contract, 0.7212)
         assert report.writer_risk == pytest.approx(GAMMA_W_AT_X_STAR, rel=1e-12)
         assert report.loss_prob == pytest.approx(LOSS_PROB_AT_X_STAR, rel=1e-12)
-        _, gamma_quad, _ = quadrature_risk(ref_params, ref_contract, 0.7212, report.fair_price)
+        _, gamma_quad, _ = _quadrature_risks(ref_params, ref_contract, [report])[0]
         assert report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_unhedged_value_against_quadrature(self, ref_params, ref_contract):
         report = writer_risk(ref_params, ref_contract, 0.0)
-        prob_quad, gamma_quad, _ = quadrature_risk(ref_params, ref_contract, 0.0, report.fair_price)
+        prob_quad, gamma_quad, _ = _quadrature_risks(ref_params, ref_contract, [report])[0]
         assert report.thresholds.d1 == -math.inf
         assert report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
         assert report.loss_prob == pytest.approx(prob_quad, rel=1e-8)
@@ -415,11 +429,10 @@ class TestSubnormalLossProbability:
 
 class TestHolderRisk:
     def test_reference_value_against_quadrature(self, ref_params, ref_contract):
-        value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
-        assert value == pytest.approx(GAMMA_H_AT_X_STAR, rel=1e-12)
-        price = fair_price(ref_params, ref_contract, 0.7212)
-        _, _, gamma_quad = quadrature_risk(ref_params, ref_contract, 0.7212, price)
-        assert value == pytest.approx(gamma_quad, rel=1e-8)
+        report = writer_risk(ref_params, ref_contract, 0.7212)
+        assert report.holder_risk == pytest.approx(GAMMA_H_AT_X_STAR, rel=1e-12)
+        _, _, gamma_quad = _quadrature_risks(ref_params, ref_contract, [report])[0]
+        assert report.holder_risk == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_capped_by_compounded_premium(self, ref_params, ref_contract):
         for x in (0.0, 0.25, 0.5, 0.7212, 0.99):
@@ -430,10 +443,9 @@ class TestHolderRisk:
         # K near zero: the holder only loses when S(T) falls below the
         # compounded premium plus the (tiny) strike.
         contract = OptionContract(strike=1e-6, expiry=1.0)
-        value = writer_risk(ref_params, contract, 0.3).holder_risk
-        price = fair_price(ref_params, contract, 0.3)
-        _, _, gamma_quad = quadrature_risk(ref_params, contract, 0.3, price)
-        assert value == pytest.approx(gamma_quad, rel=1e-8)
+        report = writer_risk(ref_params, contract, 0.3)
+        _, _, gamma_quad = _quadrature_risks(ref_params, contract, [report])[0]
+        assert report.holder_risk == pytest.approx(gamma_quad, rel=1e-8)
 
     def test_against_monte_carlo(self, ref_params, ref_contract):
         value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
@@ -760,9 +772,8 @@ class TestRevalueAtTime:
         quote = revalue_at_time(ref_params, ref_contract, 0.5, 110.0)
         shifted_params = replace(ref_params, spot=110.0)
         shifted_contract = OptionContract(strike=100.0, expiry=0.5)
-        prob_quad, gamma_quad, _ = quadrature_risk(
-            shifted_params, shifted_contract, quote.x_star, quote.price
-        )
+        (risks,) = _quadrature_risks(shifted_params, shifted_contract, [quote.report])
+        prob_quad, gamma_quad, _ = risks
         assert quote.report.writer_risk == pytest.approx(gamma_quad, rel=1e-8)
         assert quote.report.loss_prob == pytest.approx(prob_quad, rel=1e-8)
 
@@ -785,7 +796,7 @@ class TestSuiteProperties:
         worst = 0.0
         for params, contract, x in draw_suite(60, seed=23, threshold_window=7.0):
             report = writer_risk(params, contract, x)
-            prob_q, gamma_w_q, gamma_h_q = quadrature_risk(params, contract, x, report.fair_price)
+            prob_q, gamma_w_q, gamma_h_q = _quadrature_risks(params, contract, [report])[0]
             worst = max(
                 worst,
                 rel_err(report.loss_prob, prob_q),

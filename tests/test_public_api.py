@@ -176,7 +176,6 @@ def test_only_monte_carlo_size_and_seed_are_settable():
         oracle.terminal_chunks: ["params", "expiry", "cfg"],
         oracle.quad_rule: ["breakpoints"],
         oracle.quad_expectation: ["integrand", "breakpoints"],
-        validation.quadrature_risk: ["params", "contract", "x", "price"],
         validation.check_implied_vol_round_trip: ["params", "contract"],
         validation.check_price_vs_quadrature: ["params", "contract"],
         validation.check_risks_vs_quadrature: ["params", "contract"],

@@ -38,7 +38,6 @@ from fairhedge import (
     EmptyDomain,
     MarketParams,
     McConfig,
-    NoLossEvents,
     NumericConfig,
     OptionContract,
     bs_call_price,
@@ -55,6 +54,7 @@ from fairhedge.oracle import (
     writer_loss,
 )
 from fairhedge.validation import (
+    _quadrature_risks,
     check_fair_play_identity,
     check_implied_vol_round_trip,
     check_mc_agreement,
@@ -65,7 +65,6 @@ from fairhedge.validation import (
     check_threshold_arg_monotonicity,
     check_threshold_ordering,
     draw_suite,
-    quadrature_risk,
     run_all_checks,
 )
 
@@ -133,7 +132,7 @@ def test_tolerance_checks_pass_at_half_and_fail_at_twice_their_tolerance(
 
 
 def quadrature_risk_by_four_rules(params, contract, x, price):
-    """quadrature_risk as four independent quad_expectation calls."""
+    """_quadrature_risks of one fair-priced report as four independent quad_expectation calls."""
     th = eq.risk_thresholds(params, contract, x, price)
 
     def w_loss(z):
@@ -154,9 +153,9 @@ def quadrature_risk_by_four_rules(params, contract, x, price):
 
 def test_quadrature_risk_equals_four_separate_rules():
     for params, contract, x in draw_suite(12, seed=31, threshold_window=8.0):
-        price = eq.fair_price(params, contract, x)
-        shared = quadrature_risk(params, contract, x, price)
-        assert shared == quadrature_risk_by_four_rules(params, contract, x, price)
+        report = eq.writer_risk(params, contract, x)
+        (shared,) = _quadrature_risks(params, contract, [report])
+        assert shared == quadrature_risk_by_four_rules(params, contract, x, report.fair_price)
 
 
 def test_run_all_checks_quotes_once(monkeypatch, ref_params, ref_contract):
@@ -347,6 +346,27 @@ def test_risks_check_shares_one_rule_between_its_fractions(monkeypatch, ref_para
     assert len(rules) == 1 and len(rules[0]) == 4 * 4
 
 
+def test_risks_check_cuts_its_rule_at_the_reports_it_holds(monkeypatch, ref_params, ref_contract):
+    # One kernel prices every fraction; the rule's breakpoints are its reports'
+    # thresholds, so no kernel is built again to recompute them.
+    constructions, threshold_calls = [], []
+    init, thresholds = eq._RiskKernel.__init__, eq.risk_thresholds
+
+    def counted(kernel, *args):
+        constructions.append(args)
+        init(kernel, *args)
+
+    def counted_thresholds(*args):
+        threshold_calls.append(args)
+        return thresholds(*args)
+
+    monkeypatch.setattr(eq._RiskKernel, "__init__", counted)
+    monkeypatch.setattr(eq, "risk_thresholds", counted_thresholds)
+    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    assert result.passed and result.detail.endswith(" over 4 hedge fractions (tol 1e-08)")
+    assert (len(constructions), threshold_calls) == (1, [])
+
+
 # At x = 0.75 the writer loses only on Z > d2 = 10.29 (d1 = -22.8), so the
 # rule on z in [-10, 10] puts no weight on that loss event, whose closed-form
 # probability is 4.0e-25; x = 0, 0.25 and 0.5 keep theirs.
@@ -360,8 +380,7 @@ def test_risks_check_skips_a_fraction_whose_loss_event_has_no_quadrature_weight(
     params, contract = NO_QUADRATURE_WEIGHT_AT_3_4
     report = eq.writer_risk(params, contract, 0.75)
     assert report.thresholds.d1 < -10 < 10 < report.thresholds.d2 and report.loss_prob > 0
-    with pytest.raises(NoLossEvents, match="no weight on a loss event at x=0.75"):
-        quadrature_risk(params, contract, 0.75, report.fair_price)
+    assert _quadrature_risks(params, contract, [report]) == [None]
     result = check_risks_vs_quadrature(params, contract)
     assert result.passed, result.detail
     assert result.detail.endswith(" over 3 hedge fractions, 1 skipped (tol 1e-08)")
@@ -370,7 +389,7 @@ def test_risks_check_skips_a_fraction_whose_loss_event_has_no_quadrature_weight(
 
 
 def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, ref_contract):
-    monkeypatch.setattr(validation, "_quadrature_risks", lambda p, c, priced: [None] * len(priced))
+    monkeypatch.setattr(validation, "_quadrature_risks", lambda p, c, reps: [None] * len(reps))
     result = check_risks_vs_quadrature(ref_params, ref_contract)
     assert (result.passed, result.detail) == (
         False, "max rel err 0.000e+00 over 0 hedge fractions, 4 skipped (tol 1e-08)"
@@ -516,6 +535,21 @@ def test_threshold_arg_monotonicity_fails_when_the_d2_argument_falls(
     result = check_threshold_arg_monotonicity(ref_params, ref_contract)
     assert result.passed is False
     assert result.detail == "99 violations in 100 hedge fractions"
+
+
+def test_threshold_arg_monotonicity_reads_the_kernel_log_args(
+    monkeypatch, ref_params, ref_contract
+):
+    # A fault in the kernel's d2 argument, falling on every grid step, shows in
+    # the check: it tests the arguments that thresholds takes logs of.
+    original = eq._RiskKernel.log_args
+
+    def log_args(kernel, x, price):
+        return original(kernel, x, price)[0], -x
+
+    monkeypatch.setattr(eq._RiskKernel, "log_args", log_args)
+    result = check_threshold_arg_monotonicity(ref_params, ref_contract)
+    assert (result.passed, result.detail) == (False, "99 violations in 100 hedge fractions")
 
 
 def test_retired_contract_free_monotonicity_draws_have_no_violations():
