@@ -224,6 +224,45 @@ class TestGaussLegendreRule:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
+    def test_a_rule_of_0_1_wide_panels_agrees_with_a_ten_times_denser_one(
+        self, monkeypatch, ref_params, ref_contract
+    ):
+        """200 panels (2,400 nodes) give validate's quadrature values to 1e-14 of 2,000 panels.
+
+        Covered: both price expectations of check_price_vs_quadrature
+        (growth r and mu) and every _quadrature_risks triple at the check's
+        fractions 0, 0.25, 0.5 and 0.75 up to x_hi.
+        """
+        from fairhedge import equilibrium as eq
+        from fairhedge import validation
+        from fairhedge.validation import _quadrature_risks, draw_suite, rel_err
+
+        assert oracle.quad_rule([])[0].size == 2_400
+        markets = [(ref_params, ref_contract)]
+        markets += [(p, c) for p, c, _ in draw_suite(20, seed=31, threshold_window=8.0)]
+
+        def quadrature_values(params, contract):
+            prices = []
+
+            def recorded(integrand, breakpoints=()):
+                prices.append(quad_expectation(integrand, breakpoints))
+                return prices[-1]
+
+            monkeypatch.setattr(validation, "quad_expectation", recorded)
+            validation.check_price_vs_quadrature(params, contract)
+            kernel = eq._RiskKernel(params, contract)
+            reports = [kernel.report(x) for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]
+            triples = _quadrature_risks(params, contract, reports)
+            assert len(prices) == 2 and None not in triples
+            return prices + [v for triple in triples for v in triple]
+
+        values = [quadrature_values(p, c) for p, c in markets]
+        monkeypatch.setattr(oracle, "_PANELS", 2000)
+        reference = [quadrature_values(p, c) for p, c in markets]
+        assert [len(v) for v in values] == [len(v) for v in reference]
+        worst = max(rel_err(a, b) for v, r in zip(values, reference) for a, b in zip(v, r))
+        assert worst <= 1e-14
+
 
 class TestQuadExpectation:
     def test_normalization(self):

@@ -399,8 +399,9 @@ def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, re
 # Prints the details of the reference market's two quadrature checks.
 QUADRATURE_DETAILS_SCRIPT = """
 import json
-from fairhedge import MarketParams, OptionContract
+from fairhedge import MarketParams, OptionContract, oracle
 from fairhedge.validation import check_price_vs_quadrature, check_risks_vs_quadrature
+oracle._PANELS = 2000  # 24,000 nodes, a sum long enough for OpenBLAS to split
 params = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
 contract = OptionContract(strike=100.0, expiry=1.0)
 checks = (check_price_vs_quadrature, check_risks_vs_quadrature)
@@ -414,8 +415,11 @@ def test_quadrature_details_do_not_depend_on_the_blas_thread_count():
     A BLAS dot product may split a 24,000-node sum across threads, which
     changes its last bits and so the printed relative errors; on the
     reference market the risks check's detail then differs between one and
-    two OpenBLAS threads. A host with one CPU runs both processes on one
-    thread, so there this test cannot fail even for a thread-split sum.
+    two OpenBLAS threads. The shipped rule of about 2,400 nodes is too short
+    for OpenBLAS to split, so the script runs the checks on a 2,000-panel
+    rule, where a dot product in place of np.add.reduce fails this test. A
+    host with one CPU runs both processes on one thread, so there this test
+    cannot fail even for a thread-split sum.
     """
     details = []
     for threads in ("1", "2"):
