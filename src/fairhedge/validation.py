@@ -5,15 +5,20 @@ and turns the outcome into an exit code. Tolerances: 1e-8 relative against
 quadrature for expectations and risks, 1e-10 for algebraic identities, and
 3.5 standard errors against Monte Carlo (the band scales automatically
 with the configured path count). Each is defined once, below.
+
+Importing this module does not load numpy. Only the four functions that
+sample import numpy and fairhedge.oracle, in their bodies: draw_suite,
+check_price_vs_quadrature, _quadrature_risks and check_mc_agreement. The
+rest run on math, with one risk kernel per suite built by run_all_checks.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
-
-import numpy as np
 
 from . import equilibrium as eq
 from .core import (
@@ -30,15 +35,28 @@ from .core import (
     _otm_price,
 )
 from .errors import PricingError
-from .oracle import (
-    _BLOCK,
-    _realized_losses,
-    RunningMoments,
-    quad_expectation,
-    quad_rule,
-    terminal_chunks,
-    terminal_price,
-)
+
+
+def _import_on_first_use(name: str) -> None:
+    """Bind the package's module `name` as an import would, but run it on first attribute use.
+
+    The sampling checks import numpy and the oracle inside their bodies, so
+    importing this module leaves both unloaded. fairhedge.oracle still sits
+    in sys.modules and on the package, where code that walks the package's
+    modules, such as a tracer wrapping their functions, finds it.
+    """
+    full_name = f"{__package__}.{name}"
+    if full_name in sys.modules:
+        return
+    spec = importlib.util.find_spec(full_name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full_name] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+_import_on_first_use("oracle")
 
 __all__ = ["CheckResult", "draw_suite", "run_all_checks"]
 
@@ -94,6 +112,8 @@ def draw_suite(
     threshold lies within [-window, window], which makes the loss events
     resolvable by a quadrature oracle on a [-10, 10] z window.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     produced = 0
     while produced < n:
@@ -151,6 +171,10 @@ def check_implied_vol_round_trip(params: MarketParams, contract: OptionContract)
 
 
 def check_price_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
+    import numpy as np
+
+    from .oracle import quad_expectation, terminal_price
+
     t = contract.expiry
 
     def expected_payoff(growth: float) -> float:
@@ -176,8 +200,9 @@ def check_physical_parity(params: MarketParams, contract: OptionContract) -> Che
     return _bounded("physical_put_call_parity", err, _IDENTITY_TOL, f"rel err {err:.3e}")
 
 
-def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> CheckResult:
-    kernel = eq._RiskKernel(params, contract)
+def check_fair_play_identity(
+    params: MarketParams, contract: OptionContract, kernel: eq._RiskKernel
+) -> CheckResult:
     worst = 0.0
     for x in [x for x in (0.0, 0.25, 0.5, 0.7212, 0.99) if x <= kernel.x_hi]:
         holder, writer = eq.expected_profits(params, contract, x, kernel.fair_price(x))
@@ -185,16 +210,21 @@ def check_fair_play_identity(params: MarketParams, contract: OptionContract) -> 
     return _bounded("fair_play_identity", worst, _IDENTITY_TOL, f"max abs gap {worst:.3e}")
 
 
-def _property_grid(kernel: eq._RiskKernel) -> np.ndarray:
-    """The 100 hedge fractions linspace(u/100, u, 100) that both property checks test."""
+def _property_grid(kernel: eq._RiskKernel) -> list[float]:
+    """The 100 hedge fractions that both property checks test, from u/100 to u.
+
+    They are the bits of numpy's linspace(u/100, u, 100): start + i * step,
+    with the last point set to u.
+    """
     upper = _sampling_upper(kernel)
-    return np.linspace(upper / 100, upper, 100)
+    start = upper / 100
+    step = (upper - start) / 99
+    return [i * step + start for i in range(99)] + [upper]
 
 
-def check_threshold_ordering(params: MarketParams, contract: OptionContract) -> CheckResult:
+def check_threshold_ordering(kernel: eq._RiskKernel) -> CheckResult:
     """d1 < d < d2 (where d1 is finite) and d < d' at the fair price, on the property grid."""
-    kernel = eq._RiskKernel(params, contract)
-    xs = _property_grid(kernel).tolist()
+    xs = _property_grid(kernel)
     violations = 0
     for x in xs:
         th = kernel.thresholds(x, kernel.fair_price(x))
@@ -204,10 +234,9 @@ def check_threshold_ordering(params: MarketParams, contract: OptionContract) -> 
     return CheckResult("threshold_ordering", violations == 0, detail)
 
 
-def check_threshold_arg_monotonicity(params: MarketParams, contract: OptionContract) -> CheckResult:
+def check_threshold_arg_monotonicity(kernel: eq._RiskKernel) -> CheckResult:
     """The kernel's d1 and d2 log arguments never fall by over 1e-12 between grid points."""
-    kernel = eq._RiskKernel(params, contract)
-    xs = _property_grid(kernel).tolist()
+    xs = _property_grid(kernel)
     args = [kernel.log_args(x, kernel.fair_price(x)) for x in xs]
     violations = sum(
         now[0] - before[0] < -1e-12 or now[1] - before[1] < -1e-12
@@ -226,6 +255,10 @@ def _quadrature_risks(
     thresholds, and one S(T) array. A report whose writer or holder loss
     event gets no weight on the rule's window has no conditional risk.
     """
+    import numpy as np
+
+    from .oracle import _realized_losses, quad_rule, terminal_price
+
     thresholds = [rep.thresholds for rep in reports]
     z, weights = quad_rule([cut for th in thresholds for cut in (th.d1, th.d, th.d2, th.d_prime)])
     terminal = terminal_price(params, contract.expiry, z, params.drift)
@@ -244,13 +277,14 @@ def _quadrature_risks(
     return risks
 
 
-def check_risks_vs_quadrature(params: MarketParams, contract: OptionContract) -> CheckResult:
+def check_risks_vs_quadrature(
+    params: MarketParams, contract: OptionContract, kernel: eq._RiskKernel
+) -> CheckResult:
     """Closed-form risks at x = 0, 0.25, 0.5 and 0.75 (those in [0, x_hi]) against one rule.
 
     A fraction whose report raises, or whose loss event gets no quadrature
     weight, is skipped and counted; the check fails when it tests none.
     """
-    kernel = eq._RiskKernel(params, contract)
     fractions = [x for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]
     reports = []
     for x in fractions:
@@ -287,6 +321,10 @@ def check_mc_agreement(
     naming that risk, instead of raising; this covers a sample of one path
     and one with no positive loss.
     """
+    import numpy as np
+
+    from .oracle import _BLOCK, _realized_losses, RunningMoments, terminal_chunks
+
     report = quote.report
     n = mc_cfg.paths
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
@@ -321,11 +359,9 @@ def check_mc_agreement(
     return CheckResult("mc_agreement", passed, f"{detail}; paths {n}")
 
 
-def check_quote_grid_consistency(
-    params: MarketParams, contract: OptionContract, quote: eq.EquilibriumQuote
-) -> CheckResult:
+def check_quote_grid_consistency(kernel: eq._RiskKernel, quote: eq.EquilibriumQuote) -> CheckResult:
     """x* +- minimizer_grid in [0, x_hi] scored as the minimizer scores them: inf where no risk."""
-    kernel, step = eq._RiskKernel(params, contract), NumericConfig.minimizer_grid
+    step = NumericConfig.minimizer_grid
     neighbours = [x for x in (quote.x_star - step, quote.x_star + step) if 0.0 <= x <= kernel.x_hi]
     worst_drop = max([0.0] + [quote.report.writer_risk - kernel.risk_at(x) for x in neighbours])
     measured = f"x_star {quote.x_star:.6f}; neighbor improvement {worst_drop:.3e}"
@@ -342,18 +378,19 @@ def run_all_checks(
     propagates; the quote is computed once, where the Monte Carlo check
     first needs it.
     """
-    eq._RiskKernel(params, contract).require_quotable()
+    kernel = eq._RiskKernel(params, contract)
+    kernel.require_quotable()
     mc_cfg = mc_cfg or McConfig()
     results = [
         check_implied_vol_round_trip(params, contract),
         check_price_vs_quadrature(params, contract),
         check_physical_parity(params, contract),
-        check_fair_play_identity(params, contract),
-        check_threshold_ordering(params, contract),
-        check_threshold_arg_monotonicity(params, contract),
-        check_risks_vs_quadrature(params, contract),
+        check_fair_play_identity(params, contract, kernel),
+        check_threshold_ordering(kernel),
+        check_threshold_arg_monotonicity(kernel),
+        check_risks_vs_quadrature(params, contract, kernel),
     ]
     quote = eq.minimize_writer_risk(params, contract)
     results.append(check_mc_agreement(params, contract, mc_cfg, quote))
-    results.append(check_quote_grid_consistency(params, contract, quote))
+    results.append(check_quote_grid_consistency(kernel, quote))
     return results

@@ -248,7 +248,7 @@ class TestGaussLegendreRule:
                 prices.append(quad_expectation(integrand, breakpoints))
                 return prices[-1]
 
-            monkeypatch.setattr(validation, "quad_expectation", recorded)
+            monkeypatch.setattr(oracle, "quad_expectation", recorded)
             validation.check_price_vs_quadrature(params, contract)
             kernel = eq._RiskKernel(params, contract)
             reports = [kernel.report(x) for x in (0.0, 0.25, 0.5, 0.75) if x <= kernel.x_hi]

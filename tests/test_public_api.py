@@ -7,7 +7,8 @@ a traced function fails here. The settings pins make any growth of the
 configurable surface show up as a diff, and the CLI's flags are pinned per
 command and together to RunConfig's fields, whose Monte Carlo defaults are
 McConfig's. Every public annotation resolves, and an AST walk pins where
-each scalar module may reach numpy: the closed forms nowhere.
+each scalar module may reach numpy: the closed forms nowhere. In a fresh
+interpreter, importing the checks leaves numpy unloaded until one samples.
 """
 
 import argparse
@@ -15,7 +16,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -115,14 +119,23 @@ def test_public_annotations_resolve(module):
 
 
 # The modules that load numpy when imported.
-NUMPY_MODULES = {"numpy", "fairhedge.oracle", "fairhedge.validation"}
+NUMPY_MODULES = {"numpy", "fairhedge.oracle"}
 # Per module, the (enclosing function, module) pairs through which it reaches numpy.
 NUMPY_IMPORTS = {
     "core": set(),
     "equilibrium": set(),
     "errors": set(),
-    "cli": {("cmd_validate", "fairhedge.validation")},
+    "cli": set(),
     "__init__": {("__getattr__", "fairhedge.oracle")},
+    "validation": {
+        ("draw_suite", "numpy"),
+        ("check_price_vs_quadrature", "numpy"),
+        ("check_price_vs_quadrature", "fairhedge.oracle"),
+        ("_quadrature_risks", "numpy"),
+        ("_quadrature_risks", "fairhedge.oracle"),
+        ("check_mc_agreement", "numpy"),
+        ("check_mc_agreement", "fairhedge.oracle"),
+    },
 }
 
 
@@ -154,9 +167,31 @@ def numpy_imports(module: str) -> set[tuple[str | None, str]]:
 
 @pytest.mark.parametrize("module", list(NUMPY_IMPORTS))
 def test_numpy_is_reached_only_where_the_program_samples(module):
-    # The closed forms are pure math; the CLI loads numpy only for validate,
-    # and the package only when an oracle name is first used.
+    # The closed forms are pure math; validation loads numpy only in the four
+    # functions that sample, and the package only when an oracle name is first used.
     assert numpy_imports(module) == NUMPY_IMPORTS[module]
+
+
+# Imports the library, CLI and checks, then runs a small suite, printing whether
+# numpy and fairhedge.oracle are loaded and in sys.modules after each step.
+IMPORT_BOUNDARY_SCRIPT = """
+import json, sys
+import fairhedge, fairhedge.cli, fairhedge.validation
+steps = [["numpy" in sys.modules, "fairhedge.oracle" in sys.modules]]
+params = fairhedge.MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
+contract = fairhedge.OptionContract(strike=100.0, expiry=1.0)
+results = fairhedge.validation.run_all_checks(params, contract, fairhedge.McConfig(paths=1_000))
+steps.append(["numpy" in sys.modules, all(r.passed for r in results)])
+steps.append([fairhedge.oracle.quad_rule is sys.modules["fairhedge.oracle"].quad_rule])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_when_a_check_samples_not_when_validation_is_imported():
+    # fairhedge.oracle is bound on import, as before, but runs on first use.
+    result = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT],
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [[False, True], [True, True], [True]]
 
 
 def test_unknown_attribute_names_the_module_and_the_attribute():
@@ -178,10 +213,11 @@ def test_only_monte_carlo_size_and_seed_are_settable():
         oracle.quad_expectation: ["integrand", "breakpoints"],
         validation.check_implied_vol_round_trip: ["params", "contract"],
         validation.check_price_vs_quadrature: ["params", "contract"],
-        validation.check_risks_vs_quadrature: ["params", "contract"],
-        validation.check_quote_grid_consistency: ["params", "contract", "quote"],
-        validation.check_threshold_ordering: ["params", "contract"],
-        validation.check_threshold_arg_monotonicity: ["params", "contract"],
+        validation.check_fair_play_identity: ["params", "contract", "kernel"],
+        validation.check_risks_vs_quadrature: ["params", "contract", "kernel"],
+        validation.check_quote_grid_consistency: ["kernel", "quote"],
+        validation.check_threshold_ordering: ["kernel"],
+        validation.check_threshold_arg_monotonicity: ["kernel"],
         validation.run_all_checks: ["params", "contract", "mc_cfg"],
     }
     for fn, parameters in signatures.items():

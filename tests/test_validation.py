@@ -1,24 +1,25 @@
 """Tests for the cross-check suite: each costly step runs once, values unchanged.
 
-The suite shares one quote between its Monte Carlo and grid checks and one
-quadrature rule between every tested hedge fraction's loss integrands, and
-the Monte Carlo check streams its sample block by block through running
-moments. These tests pin that the shared
-and streamed versions give the values of the step-by-step, whole-array ones
-(the streamed moments bit for bit those of a block-wise boolean-index
-pass), and that a sample too small for a finite Monte Carlo band, or a
-trial whose out-of-the-money price underflows to zero, fails its check
-instead of raising or passing, while a trial call priced at its intrinsic
-bound round-trips through its out-of-the-money put. Each
+The suite builds one risk kernel for its checks, shares one quote between
+its Monte Carlo and grid checks and one quadrature rule between every
+tested hedge fraction's loss integrands, and the Monte Carlo check streams
+its sample block by block through running moments. These tests pin that
+the shared and streamed versions give the values of the step-by-step,
+whole-array ones (the streamed moments bit for bit those of a block-wise
+boolean-index pass), and that a sample too small for a finite Monte Carlo
+band, or a trial whose out-of-the-money price underflows to zero, fails
+its check instead of raising or passing, while a trial call priced at its
+intrinsic bound round-trips through its out-of-the-money put. Each
 tolerance-bounded check passes at half its tolerance and fails at twice
-it, with its exact detail text. The two threshold property
-checks test the caller's market on a 100-point hedge grid and fail, with a
-count, when a cut point is out of order or a log argument falls. The
-quadrature risk check skips and counts a hedge fraction whose loss event
-has no weight on the rule, and a contract below the premium floor raises
-EmptyDomain before any check runs.
+it, with its exact detail text. The two threshold property checks test
+the caller's kernel on a 100-point hedge grid, with the bits of numpy's
+linspace, and fail, with a count, when a cut point is out of order or a
+log argument falls. The quadrature risk check skips and counts a hedge
+fraction whose loss event has no weight on the rule, and a contract below
+the premium floor raises EmptyDomain before any check runs.
 """
 
+import inspect
 import json
 import math
 import os
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 
 import fairhedge.equilibrium as eq
+import fairhedge.oracle as oracle
 import fairhedge.validation as validation
 from fairhedge import (
     DegenerateLoss,
@@ -54,6 +56,7 @@ from fairhedge.oracle import (
     writer_loss,
 )
 from fairhedge.validation import (
+    _property_grid,
     _quadrature_risks,
     check_fair_play_identity,
     check_implied_vol_round_trip,
@@ -67,6 +70,13 @@ from fairhedge.validation import (
     draw_suite,
     run_all_checks,
 )
+
+
+def call_check(check, params, contract, quote=None):
+    """A check called with the arguments run_all_checks gives it, by parameter name."""
+    given = {"params": params, "contract": contract, "kernel": eq._RiskKernel(params, contract),
+             "quote": quote}
+    return check(*(given[name] for name in inspect.signature(check).parameters))
 
 
 # Patches that set a tolerance-bounded check's measured value to `value`, up to rounding.
@@ -125,8 +135,7 @@ def test_tolerance_checks_pass_at_half_and_fail_at_twice_their_tolerance(
     check, drive, tol, suffix = TOLERANCE_CHECKS[name]
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     drive(monkeypatch, factor * tol, quote)
-    args = (quote,) if check is check_quote_grid_consistency else ()
-    result = check(ref_params, ref_contract, *args)
+    result = call_check(check, ref_params, ref_contract, quote)
     assert (result.name, result.passed) == (name, passed)
     assert result.detail.endswith(suffix.format(factor * tol)), result.detail
 
@@ -173,6 +182,24 @@ def test_run_all_checks_quotes_once(monkeypatch, ref_params, ref_contract):
     assert all(r.passed for r in results)
 
 
+def test_suite_builds_one_risk_kernel_besides_the_minimizers(
+    monkeypatch, ref_params, ref_contract
+):
+    # run_all_checks passes its own kernel to every check that scores hedge
+    # fractions; minimize_writer_risk builds the other. Each check built one before.
+    constructions = []
+    init = eq._RiskKernel.__init__
+
+    def counted(kernel, *args):
+        constructions.append(args)
+        init(kernel, *args)
+
+    monkeypatch.setattr(eq._RiskKernel, "__init__", counted)
+    results = run_all_checks(ref_params, ref_contract, mc_cfg=McConfig(paths=10_000))
+    assert all(r.passed for r in results)
+    assert len(constructions) == 2
+
+
 def test_single_path_fails_mc_check_without_warnings(ref_params, ref_contract):
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     with warnings.catch_warnings():
@@ -185,7 +212,7 @@ def test_single_path_fails_mc_check_without_warnings(ref_params, ref_contract):
 
 def test_no_writer_losses_fail_mc_check(monkeypatch, ref_params, ref_contract):
     # At the reference quote the writer gains when S(T) stays at the strike.
-    monkeypatch.setattr(validation, "terminal_chunks", lambda *args: iter([np.full(16, 100.0)]))
+    monkeypatch.setattr(oracle, "terminal_chunks", lambda *args: iter([np.full(16, 100.0)]))
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -217,7 +244,7 @@ def test_too_few_holder_losses_fail_mc_check(
 ):
     # At the reference quote the writer loses when S(T) is far above the
     # strike, and only the holder loses at S(T) = 100.
-    monkeypatch.setattr(validation, "terminal_chunks", lambda *args: iter([np.array(terminal)]))
+    monkeypatch.setattr(oracle, "terminal_chunks", lambda *args: iter([np.array(terminal)]))
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -283,7 +310,7 @@ def test_streamed_mc_check_matches_whole_array_estimates(
             super().__init__()
             moments.append(self)
 
-    monkeypatch.setattr(validation, "RunningMoments", Recorded)
+    monkeypatch.setattr(oracle, "RunningMoments", Recorded)
     cfg = McConfig(paths=paths, seed=11)
     quote = eq.minimize_writer_risk(params, contract)
     result = check_mc_agreement(params, contract, cfg, quote)
@@ -334,21 +361,21 @@ def test_suite_traced_peak_stays_under_two_mib(ref_params, ref_contract):
 
 def test_risks_check_shares_one_rule_between_its_fractions(monkeypatch, ref_params, ref_contract):
     rules = []
-    original = validation.quad_rule
+    original = oracle.quad_rule
 
     def recorded(breakpoints=()):
         rules.append(list(breakpoints))
         return original(breakpoints)
 
-    monkeypatch.setattr(validation, "quad_rule", recorded)
-    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    monkeypatch.setattr(oracle, "quad_rule", recorded)
+    result = call_check(check_risks_vs_quadrature, ref_params, ref_contract)
     assert result.passed
     assert len(rules) == 1 and len(rules[0]) == 4 * 4
 
 
 def test_risks_check_cuts_its_rule_at_the_reports_it_holds(monkeypatch, ref_params, ref_contract):
-    # One kernel prices every fraction; the rule's breakpoints are its reports'
-    # thresholds, so no kernel is built again to recompute them.
+    # The caller's kernel prices every fraction; the rule's breakpoints are its
+    # reports' thresholds, so no kernel is built again to recompute them.
     constructions, threshold_calls = [], []
     init, thresholds = eq._RiskKernel.__init__, eq.risk_thresholds
 
@@ -362,7 +389,7 @@ def test_risks_check_cuts_its_rule_at_the_reports_it_holds(monkeypatch, ref_para
 
     monkeypatch.setattr(eq._RiskKernel, "__init__", counted)
     monkeypatch.setattr(eq, "risk_thresholds", counted_thresholds)
-    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    result = call_check(check_risks_vs_quadrature, ref_params, ref_contract)
     assert result.passed and result.detail.endswith(" over 4 hedge fractions (tol 1e-08)")
     assert (len(constructions), threshold_calls) == (1, [])
 
@@ -381,7 +408,7 @@ def test_risks_check_skips_a_fraction_whose_loss_event_has_no_quadrature_weight(
     report = eq.writer_risk(params, contract, 0.75)
     assert report.thresholds.d1 < -10 < 10 < report.thresholds.d2 and report.loss_prob > 0
     assert _quadrature_risks(params, contract, [report]) == [None]
-    result = check_risks_vs_quadrature(params, contract)
+    result = check_risks_vs_quadrature(params, contract, eq._RiskKernel(params, contract))
     assert result.passed, result.detail
     assert result.detail.endswith(" over 3 hedge fractions, 1 skipped (tol 1e-08)")
     results = run_all_checks(params, contract, mc_cfg=McConfig(paths=10_000))
@@ -390,7 +417,7 @@ def test_risks_check_skips_a_fraction_whose_loss_event_has_no_quadrature_weight(
 
 def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, ref_contract):
     monkeypatch.setattr(validation, "_quadrature_risks", lambda p, c, reps: [None] * len(reps))
-    result = check_risks_vs_quadrature(ref_params, ref_contract)
+    result = call_check(check_risks_vs_quadrature, ref_params, ref_contract)
     assert (result.passed, result.detail) == (
         False, "max rel err 0.000e+00 over 0 hedge fractions, 4 skipped (tol 1e-08)"
     )
@@ -399,13 +426,15 @@ def test_risks_check_fails_when_it_tests_no_fraction(monkeypatch, ref_params, re
 # Prints the details of the reference market's two quadrature checks.
 QUADRATURE_DETAILS_SCRIPT = """
 import json
-from fairhedge import MarketParams, OptionContract, oracle
+from fairhedge import MarketParams, OptionContract, equilibrium, oracle
 from fairhedge.validation import check_price_vs_quadrature, check_risks_vs_quadrature
 oracle._PANELS = 2000  # 24,000 nodes, a sum long enough for OpenBLAS to split
 params = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
 contract = OptionContract(strike=100.0, expiry=1.0)
-checks = (check_price_vs_quadrature, check_risks_vs_quadrature)
-print(json.dumps([check(params, contract).detail for check in checks]))
+kernel = equilibrium._RiskKernel(params, contract)
+details = [check_price_vs_quadrature(params, contract).detail,
+           check_risks_vs_quadrature(params, contract, kernel).detail]
+print(json.dumps(details))
 """
 
 
@@ -495,16 +524,36 @@ def test_a_neighbour_without_a_risk_does_not_beat_the_quote(low_vol_market):
     quote = eq.minimize_writer_risk(*low_vol_market)
     with pytest.raises(DegenerateLoss):
         eq.writer_risk(*low_vol_market, quote.x_star + NumericConfig.minimizer_grid)
-    result = check_quote_grid_consistency(*low_vol_market, quote)
+    result = check_quote_grid_consistency(eq._RiskKernel(*low_vol_market), quote)
     assert result.passed
     assert result.detail == "x_star 0.986973; neighbor improvement 0.000e+00 (tol 1e-09)"
+
+
+def test_property_grid_has_the_bits_of_numpys_linspace(ref_params, ref_contract):
+    def linspace_bits(upper):
+        return [x.hex() for x in np.linspace(upper / 100, upper, 100).tolist()]
+
+    kernels = [eq._RiskKernel(ref_params, ref_contract)]
+    kernels += [eq._RiskKernel(p, c) for p, c, _ in draw_suite(200, seed=31)]
+    for kernel in kernels:
+        upper = validation._sampling_upper(kernel)
+        assert [x.hex() for x in _property_grid(kernel)] == linspace_bits(upper)
+
+    class Upper:  # a kernel whose sampling upper bound is u
+        def __init__(self, u):
+            self.x_max = u / (1.0 - validation._SAMPLING_MARGIN)
+
+    for u in np.random.default_rng(7).uniform(1e-12, 1.0 - 1e-6, 20_000).tolist():
+        kernel = Upper(u)
+        upper = validation._sampling_upper(kernel)
+        assert [x.hex() for x in _property_grid(kernel)] == linspace_bits(upper), u
 
 
 def test_property_checks_pass_on_the_reference_and_drawn_markets(ref_params, ref_contract):
     markets = [(ref_params, ref_contract)] + [(p, c) for p, c, _ in draw_suite(24, seed=31)]
     for params, contract in markets:
         for check in (check_threshold_ordering, check_threshold_arg_monotonicity):
-            result = check(params, contract)
+            result = check(eq._RiskKernel(params, contract))
             assert result.passed is True, (check.__name__, params, contract)
             assert result.detail == "0 violations in 100 hedge fractions"
 
@@ -521,7 +570,7 @@ def test_threshold_ordering_counts_the_hedge_fractions_with_d_prime_below_d(
         return kernel.d - 1.0 if price < half_price else original(kernel, price)
 
     monkeypatch.setattr(eq._RiskKernel, "_d_prime", d_prime)
-    result = check_threshold_ordering(ref_params, ref_contract)
+    result = check_threshold_ordering(eq._RiskKernel(ref_params, ref_contract))
     assert result.passed is False
     assert result.detail == "50 violations in 100 hedge fractions"
 
@@ -536,7 +585,7 @@ def test_threshold_arg_monotonicity_fails_when_the_d2_argument_falls(
         return kernel.discount * kernel.expected_payoff * (1 - x)
 
     monkeypatch.setattr(eq._RiskKernel, "fair_price", fair_price)
-    result = check_threshold_arg_monotonicity(ref_params, ref_contract)
+    result = check_threshold_arg_monotonicity(eq._RiskKernel(ref_params, ref_contract))
     assert result.passed is False
     assert result.detail == "99 violations in 100 hedge fractions"
 
@@ -552,7 +601,7 @@ def test_threshold_arg_monotonicity_reads_the_kernel_log_args(
         return original(kernel, x, price)[0], -x
 
     monkeypatch.setattr(eq._RiskKernel, "log_args", log_args)
-    result = check_threshold_arg_monotonicity(ref_params, ref_contract)
+    result = check_threshold_arg_monotonicity(eq._RiskKernel(ref_params, ref_contract))
     assert (result.passed, result.detail) == (False, "99 violations in 100 hedge fractions")
 
 
