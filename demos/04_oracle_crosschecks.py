@@ -9,12 +9,16 @@ from fairhedge import (
     McConfig,
     OptionContract,
     expected_call_payoff_physical,
-    holder_loss,
     minimize_writer_risk,
+)
+from fairhedge.oracle import (
+    RunningMoments,
+    holder_loss,
     quad_expectation,
+    terminal_chunks,
+    terminal_price,
     writer_loss,
 )
-from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
 
 def streamed_estimates(params, contract, quote, mc):

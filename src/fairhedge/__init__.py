@@ -7,8 +7,13 @@ for every hedge fraction; minimizing the writer's conditional expected
 loss picks the fraction, and the resulting prices trace a volatility smile
 across strikes. Closed forms for the price, the loss probability and both
 parties' risks live alongside Monte Carlo and quadrature engines that
-verify them independently.
+verify them independently. The engines need numpy, which the closed forms
+do not: import their names from fairhedge.oracle, which the package binds
+on import but runs, loading numpy, only on its first attribute use.
 """
+
+import importlib.util as _importlib_util
+import sys as _sys
 
 from .core import (
     MarketParams,
@@ -52,32 +57,21 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core analytics
-    "MarketParams", "OptionContract", "NumericConfig",
+    "MarketParams", "OptionContract", "NumericConfig", "McConfig",
     "std_normal_cdf", "d_plus_minus", "bs_call_price",
     "expected_call_payoff_physical", "implied_vol",
     # equilibrium pricing and risk
     "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
     "fair_price", "expected_profits",
-    "writer_risk", "minimize_writer_risk", "volatility_smile",
-    "revalue_at_time", "writer_loss", "holder_loss",
-    # oracles
-    "McConfig", "McEstimate",
-    "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+    "writer_risk", "minimize_writer_risk", "volatility_smile", "revalue_at_time",
     # errors
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
     "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract", "NoLossEvents",
 ]
 
-
-# The oracles and the losses they score need numpy, which the closed forms do not:
-# resolve their names on first use (PEP 562), so importing the library leaves numpy unloaded.
-_ORACLE_NAMES = {"McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
-                 "writer_loss", "holder_loss"}
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Bind fairhedge.oracle as an import does, in sys.modules and on the package, where code
+# that walks the package's modules finds it, but run it on its first attribute use.
+_spec = _importlib_util.find_spec(f"{__name__}.oracle")
+_spec.loader = _importlib_util.LazyLoader(_spec.loader)
+oracle = _sys.modules[_spec.name] = _importlib_util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)

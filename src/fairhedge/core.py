@@ -130,6 +130,9 @@ class McConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
+        for name, value in (("paths", self.paths), ("seed", self.seed)):
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths < 1:
             raise ValueError(f"paths must be >= 1, got {self.paths}")
         if not 0 <= self.seed < 2**64:

@@ -132,6 +132,13 @@ def _check_hedge_fraction(x: float) -> None:
         raise ValueError(f"hedge fraction must lie in [0, 1), got {x}")
 
 
+def _check_price(price: float) -> None:
+    if not price > 0:
+        raise ValueError(f"price must be positive, got {price}")
+    if not math.isfinite(price):
+        raise ValueError(f"price must be finite, got {price}")
+
+
 class _RiskKernel:
     """The closed forms of one (market, contract), with every x-free term computed once.
 
@@ -305,8 +312,7 @@ def expected_profits(
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"hedge fraction must lie in [0, 1], got {x}")
-    if not price > 0:
-        raise ValueError(f"price must be positive, got {price}")
+    _check_price(price)
     growth, compounding, _ = rate_factors(params, contract.expiry)
     expected_payoff = expected_call_payoff_physical(params, contract)
     compounded = price * compounding
@@ -327,8 +333,7 @@ def risk_thresholds(
             the valid regime; cannot happen at a fair price with x < 1).
     """
     _check_hedge_fraction(x)
-    if not price > 0:
-        raise ValueError(f"price must be positive, got {price}")
+    _check_price(price)
     return _RiskKernel(params, contract).thresholds(x, price)
 
 

@@ -24,7 +24,6 @@ from .core import MarketParams, McConfig, OptionContract, rate_factors
 from .errors import NoLossEvents
 
 __all__ = [
-    "McConfig",
     "McEstimate",
     "RunningMoments",
     "terminal_price",

@@ -6,17 +6,16 @@ quadrature for expectations and risks, 1e-10 for algebraic identities, and
 3.5 standard errors against Monte Carlo (the band scales automatically
 with the configured path count). Each is defined once, below.
 
-Importing this module does not load numpy. Only the four functions that
-sample import numpy and fairhedge.oracle, in their bodies: draw_suite,
+Importing this module does not load numpy. The package binds
+fairhedge.oracle but runs it on first use: only the four functions that
+sample import numpy and oracle names, in their bodies: draw_suite,
 check_price_vs_quadrature, _quadrature_risks and check_mc_agreement. The
 rest run on math, with one risk kernel per suite built by run_all_checks.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -35,28 +34,6 @@ from .core import (
     _otm_price,
 )
 from .errors import PricingError
-
-
-def _import_on_first_use(name: str) -> None:
-    """Bind the package's module `name` as an import would, but run it on first attribute use.
-
-    The sampling checks import numpy and the oracle inside their bodies, so
-    importing this module leaves both unloaded. fairhedge.oracle still sits
-    in sys.modules and on the package, where code that walks the package's
-    modules, such as a tracer wrapping their functions, finds it.
-    """
-    full_name = f"{__package__}.{name}"
-    if full_name in sys.modules:
-        return
-    spec = importlib.util.find_spec(full_name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[full_name] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-
-
-_import_on_first_use("oracle")
 
 __all__ = ["CheckResult", "draw_suite", "run_all_checks"]
 

@@ -20,18 +20,20 @@ from fairhedge import (
     expected_profits,
     fair_price,
     implied_vol,
-    mc_conditional_loss,
     minimize_writer_risk,
-    quad_expectation,
-    simulate_terminal,
     std_normal_cdf,
     volatility_smile,
-    writer_loss,
     writer_risk,
-    holder_loss,
 )
 from fairhedge.equilibrium import _RiskKernel, risk_thresholds
-from fairhedge.oracle import terminal_price
+from fairhedge.oracle import (
+    holder_loss,
+    mc_conditional_loss,
+    quad_expectation,
+    simulate_terminal,
+    terminal_price,
+    writer_loss,
+)
 from fairhedge.validation import _quadrature_risks, draw_suite, rel_err
 
 PARAMS = MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)

@@ -29,7 +29,6 @@ from fairhedge import (
     d_plus_minus,
     expected_call_payoff_physical,
     implied_vol,
-    quad_expectation,
     std_normal_cdf,
     volatility_smile,
 )
@@ -39,6 +38,7 @@ from fairhedge.core import (
     expected_put_payoff_physical,
     rate_factors,
 )
+from fairhedge.oracle import quad_expectation
 from fairhedge.validation import _ROUND_TRIP_SIGMAS, draw_suite
 
 # Quadrature-derived values for the reference scenario, frozen from the

@@ -31,21 +31,23 @@ from fairhedge import (
     expected_call_payoff_physical,
     expected_profits,
     fair_price,
-    holder_loss,
     implied_vol,
-    mc_conditional_loss,
     minimize_writer_risk,
-    quad_expectation,
     revalue_at_time,
-    simulate_terminal,
     std_normal_cdf,
     volatility_smile,
-    writer_loss,
     writer_risk,
 )
 from fairhedge import equilibrium
 from fairhedge.equilibrium import risk_thresholds
-from fairhedge.oracle import terminal_price
+from fairhedge.oracle import (
+    holder_loss,
+    mc_conditional_loss,
+    quad_expectation,
+    simulate_terminal,
+    terminal_price,
+    writer_loss,
+)
 from fairhedge.validation import _quadrature_risks, check_physical_parity, draw_suite, rel_err
 
 OUTPUT_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
@@ -159,6 +161,9 @@ class TestExpectedProfits:
     def test_rejects_nonpositive_price(self, ref_params, ref_contract):
         with pytest.raises(ValueError, match="price"):
             expected_profits(ref_params, ref_contract, 0.5, 0.0)
+        # An infinite price, too: the profits would be (-inf, inf).
+        with pytest.raises(ValueError, match=r"^price must be finite, got inf$"):
+            expected_profits(ref_params, ref_contract, 0.5, math.inf)
 
     def test_full_hedge_accepted(self, ref_params, ref_contract):
         # A delta N(d+) that rounds to 1.0 is a valid hedge for the profit
@@ -218,6 +223,9 @@ class TestRiskThresholds:
     def test_nonpositive_price_rejected(self, ref_params, ref_contract):
         with pytest.raises(ValueError, match=r"^price must be positive, got 0\.0$"):
             risk_thresholds(ref_params, ref_contract, 0.5, 0.0)
+        # An infinite price, too: d2 and d' would be inf.
+        with pytest.raises(ValueError, match=r"^price must be finite, got inf$"):
+            risk_thresholds(ref_params, ref_contract, 0.5, math.inf)
 
     def test_log_args_are_the_raw_arguments_of_the_cut_points(self, ref_params, ref_contract):
         # The d1 argument keeps its sign where the cover x S0 - price is

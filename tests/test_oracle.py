@@ -8,21 +8,19 @@ import warnings
 import numpy as np
 import pytest
 
-from fairhedge import (
-    MarketParams,
-    McConfig,
-    NoLossEvents,
-    fair_price,
+from fairhedge import MarketParams, McConfig, NoLossEvents, fair_price, std_normal_cdf
+from fairhedge import oracle
+from fairhedge.equilibrium import risk_thresholds
+from fairhedge.oracle import (
+    RunningMoments,
     holder_loss,
     mc_conditional_loss,
     quad_expectation,
     simulate_terminal,
-    std_normal_cdf,
+    terminal_chunks,
+    terminal_price,
     writer_loss,
 )
-from fairhedge import oracle
-from fairhedge.equilibrium import risk_thresholds
-from fairhedge.oracle import RunningMoments, terminal_chunks, terminal_price
 
 REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core
 
@@ -105,6 +103,13 @@ class TestSimulateTerminal:
             McConfig(paths=0)
         with pytest.raises(ValueError, match="seed"):
             McConfig(seed=-1)
+        # A float or a bool would reach numpy's generator and fail there, untyped.
+        with pytest.raises(ValueError, match=r"^paths must be an integer, got 2\.5$"):
+            McConfig(paths=2.5)
+        with pytest.raises(ValueError, match=r"^paths must be an integer, got True$"):
+            McConfig(paths=True)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+            McConfig(seed=1.5)
 
 
 class TestMcConditionalLoss:

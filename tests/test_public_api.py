@@ -8,7 +8,8 @@ configurable surface show up as a diff, and the CLI's flags are pinned per
 command and together to RunConfig's fields, whose Monte Carlo defaults are
 McConfig's. Every public annotation resolves, and an AST walk pins where
 each scalar module may reach numpy: the closed forms nowhere. In a fresh
-interpreter, importing the checks leaves numpy unloaded until one samples.
+interpreter, importing the library and the checks leaves numpy unloaded
+until one samples; the package alone binds fairhedge.oracle, lazily.
 """
 
 import argparse
@@ -33,15 +34,12 @@ TRACED_NAME = re.compile(r"(core|equilibrium|oracle|validation)\.([A-Za-z_]\w*)"
 
 PUBLIC_API = {
     "__version__",
-    "MarketParams", "OptionContract", "NumericConfig",
+    "MarketParams", "OptionContract", "NumericConfig", "McConfig",
     "std_normal_cdf", "d_plus_minus", "bs_call_price",
     "expected_call_payoff_physical", "implied_vol",
     "MAX_HEDGE_FRACTION", "RiskThresholds", "RiskReport", "EquilibriumQuote", "SmilePoint",
     "fair_price", "expected_profits",
-    "writer_risk", "minimize_writer_risk", "volatility_smile",
-    "revalue_at_time", "writer_loss", "holder_loss",
-    "McConfig", "McEstimate",
-    "simulate_terminal", "mc_conditional_loss", "quad_expectation",
+    "writer_risk", "minimize_writer_risk", "volatility_smile", "revalue_at_time",
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
     "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract",
     "NoLossEvents",
@@ -96,12 +94,22 @@ def test_star_import_binds_every_public_name():
     assert PUBLIC_API <= set(namespace)
 
 
-def test_oracle_names_resolved_on_first_use_are_the_oracle_objects():
+def test_oracle_names_are_imported_from_the_oracle_only():
+    # The package binds the module, not its names; McConfig is core's, which
+    # the oracle imports but does not export.
     names = ("McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
              "writer_loss", "holder_loss")
     for name in names:
-        assert getattr(fairhedge, name) is getattr(oracle, name), name
+        assert name in oracle.__all__ and not hasattr(fairhedge, name), name
+    assert fairhedge.oracle is sys.modules["fairhedge.oracle"] is oracle
+    assert "McConfig" not in oracle.__all__
     assert fairhedge.McConfig is core.McConfig is oracle.McConfig
+
+
+def test_the_oracle_is_bound_lazily_in_one_place():
+    src = Path(fairhedge.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if "LazyLoader" in path.read_text(encoding="utf-8")] == ["__init__.py"]
 
 
 @pytest.mark.parametrize(
@@ -126,7 +134,7 @@ NUMPY_IMPORTS = {
     "equilibrium": set(),
     "errors": set(),
     "cli": set(),
-    "__init__": {("__getattr__", "fairhedge.oracle")},
+    "__init__": set(),
     "validation": {
         ("draw_suite", "numpy"),
         ("check_price_vs_quadrature", "numpy"),
@@ -168,16 +176,20 @@ def numpy_imports(module: str) -> set[tuple[str | None, str]]:
 @pytest.mark.parametrize("module", list(NUMPY_IMPORTS))
 def test_numpy_is_reached_only_where_the_program_samples(module):
     # The closed forms are pure math; validation loads numpy only in the four
-    # functions that sample, and the package only when an oracle name is first used.
+    # functions that sample, and the package binds the oracle without running it.
     assert numpy_imports(module) == NUMPY_IMPORTS[module]
 
 
-# Imports the library, CLI and checks, then runs a small suite, printing whether
-# numpy and fairhedge.oracle are loaded and in sys.modules after each step.
+# Imports the library alone, then the CLI and checks, then runs a small suite,
+# printing whether numpy and fairhedge.oracle are loaded and in sys.modules after
+# each step. The first step also lists the package's public names outside __all__.
 IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
-import fairhedge, fairhedge.cli, fairhedge.validation
-steps = [["numpy" in sys.modules, "fairhedge.oracle" in sys.modules]]
+import fairhedge
+extra = sorted(n for n in vars(fairhedge) if not n.startswith("_") and n not in fairhedge.__all__)
+steps = [["numpy" in sys.modules, "fairhedge.oracle" in sys.modules, extra]]
+import fairhedge.cli, fairhedge.validation
+steps.append(["numpy" in sys.modules, "fairhedge.oracle" in sys.modules])
 params = fairhedge.MarketParams(spot=100.0, drift=0.10, volatility=0.20, risk_free=0.05)
 contract = fairhedge.OptionContract(strike=100.0, expiry=1.0)
 results = fairhedge.validation.run_all_checks(params, contract, fairhedge.McConfig(paths=1_000))
@@ -188,10 +200,16 @@ print(json.dumps(steps))
 
 
 def test_numpy_loads_when_a_check_samples_not_when_validation_is_imported():
-    # fairhedge.oracle is bound on import, as before, but runs on first use.
+    # `import fairhedge` binds fairhedge.oracle, its one name beyond __all__ and
+    # the submodules it imports, but the oracle runs on first use.
     result = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT],
                             capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == [[False, True], [True, True], [True]]
+    assert json.loads(result.stdout) == [
+        [False, True, ["core", "equilibrium", "errors", "oracle"]],
+        [False, True],
+        [True, True],
+        [True],
+    ]
 
 
 def test_unknown_attribute_names_the_module_and_the_attribute():

@@ -44,13 +44,13 @@ from fairhedge import (
     OptionContract,
     bs_call_price,
     expected_call_payoff_physical,
-    quad_expectation,
-    simulate_terminal,
 )
 from fairhedge.core import rate_factors
 from fairhedge.oracle import (
     RunningMoments,
     holder_loss,
+    quad_expectation,
+    simulate_terminal,
     terminal_chunks,
     terminal_price,
     writer_loss,
