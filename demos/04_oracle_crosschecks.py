@@ -11,26 +11,7 @@ from fairhedge import (
     expected_call_payoff_physical,
     minimize_writer_risk,
 )
-from fairhedge.oracle import (
-    RunningMoments,
-    holder_loss,
-    quad_expectation,
-    terminal_chunks,
-    terminal_price,
-    writer_loss,
-)
-
-
-def streamed_estimates(params, contract, quote, mc):
-    """Writer risk, holder risk and E[(S-K)+] from one pass over the sample, block by block."""
-    writer, holder, payoff = RunningMoments(), RunningMoments(), RunningMoments()
-    for terminal in terminal_chunks(params, contract.expiry, mc):
-        losses = writer_loss(params, contract, quote.x_star, quote.price, terminal)
-        writer.add(losses[losses > 0])
-        losses = holder_loss(params, contract, quote.price, terminal)
-        holder.add(losses[losses > 0])
-        payoff.add(np.maximum(terminal - contract.strike, 0.0))
-    return writer.estimate(), holder.estimate(), payoff.estimate()
+from fairhedge.oracle import mc_conditional_loss, quad_expectation, terminal_price, writer_loss
 
 
 def main():
@@ -58,16 +39,17 @@ def main():
     print(f"P(loss)     closed {report.loss_prob:.10f}   quadrature {prob_quad:.10f}")
 
     # Monte Carlo: one million exact lognormal draws, seeded chunk by chunk so
-    # the run is reproducible bit for bit, streamed in blocks of 32,768 paths
-    # into running moments so no million-path array is kept.
+    # the run is reproducible bit for bit. The oracle's one estimator streams
+    # them in blocks of 32,768 paths into running moments, so no million-path
+    # array is kept, and returns E[(S-K)+] and both parties' losses given a loss.
     mc = McConfig(paths=1_000_000, seed=20240)
-    estimates = streamed_estimates(params, contract, quote, mc)
-    w, h, p = estimates
+    estimates = mc_conditional_loss(params, contract, quote.x_star, quote.price, mc)
+    p, w, h = estimates
     print(f"writer risk closed {report.writer_risk:.6f}   MC {w.mean:.6f} +- {w.std_error:.6f}")
     print(f"holder risk closed {report.holder_risk:.6f}   MC {h.mean:.6f} +- {h.std_error:.6f}")
     print(f"E[(S-K)+]   closed {closed:.6f}   MC {p.mean:.6f} +- {p.std_error:.6f}")
 
-    again = streamed_estimates(params, contract, quote, mc)
+    again = mc_conditional_loss(params, contract, quote.x_star, quote.price, mc)
     print(f"streamed estimates bit-identical on rerun: {again == estimates}")
 
 

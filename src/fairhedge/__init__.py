@@ -46,7 +46,6 @@ from .errors import (
     DomainError,
     EmptyDomain,
     ExpiredContract,
-    NoLossEvents,
     NonpositivePrice,
     PriceOutOfBounds,
     PricingError,
@@ -66,7 +65,7 @@ __all__ = [
     "writer_risk", "minimize_writer_risk", "volatility_smile", "revalue_at_time",
     # errors
     "PricingError", "PriceOutOfBounds", "BracketExhausted", "NonpositivePrice",
-    "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract", "NoLossEvents",
+    "DomainError", "DegenerateLoss", "DegenerateMarket", "EmptyDomain", "ExpiredContract",
 ]
 
 # Bind fairhedge.oracle as an import does, in sys.modules and on the package, where code

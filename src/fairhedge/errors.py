@@ -41,7 +41,3 @@ class EmptyDomain(PricingError):
 
 class ExpiredContract(PricingError):
     """Re-valuation time is at or past expiry."""
-
-
-class NoLossEvents(PricingError):
-    """A Monte Carlo loss sample has no positive entry; the conditional loss is undefined."""

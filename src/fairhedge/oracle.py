@@ -4,9 +4,11 @@ Both engines know nothing about the closed forms they are used to check.
 The simulator draws exact lognormal terminal prices (the SDE has a closed
 solution, so there is no time-stepping error) from one random stream per
 chunk, block by block into one reused block buffer, and RunningMoments
-folds a sample into a mean and standard error block by block, so an
-estimate needs no path-sized array. writer_loss and holder_loss score
-terminal prices by the definitions of the two losses, path by path. The
+folds a sample into a mean and standard error block by block.
+mc_conditional_loss, the one Monte Carlo estimator, runs both in one
+pass: E[C(T)] and each party's expected loss given a loss, with no
+path-sized array. writer_loss and holder_loss score terminal prices by
+the definitions of the two losses, path by path. The
 quadrature computes E[f(Z)] for Z ~ N(0,1) with a composite
 Gauss-Legendre rule, summed in a fixed order. Indicator discontinuities
 should be passed as breakpoints so every panel sees a smooth integrand.
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import MarketParams, McConfig, OptionContract, rate_factors
-from .errors import NoLossEvents
 
 __all__ = [
     "McEstimate",
@@ -198,29 +199,29 @@ class RunningMoments:
         return McEstimate(mean=self.mean, std_error=std_error, n_effective=n)
 
 
-def mc_conditional_loss(loss_values: Iterable[float]) -> McEstimate:
-    """Empirical mean of a loss sample conditional on the loss being positive.
+def mc_conditional_loss(
+    params: MarketParams, contract: OptionContract, x: float, price: float, cfg: McConfig | None = None
+) -> tuple[McEstimate, McEstimate, McEstimate]:
+    """Monte Carlo E[C(T)] and each party's expected loss given a loss, in one streamed pass.
 
-    The strictly positive entries are one block of RunningMoments.
-
-    Args:
-        loss_values: Sample of realized losses (any sign).
-
-    Returns:
-        McEstimate with the mean over strictly positive entries, its
-        standard error, and the count of positive entries.
-
-    Raises:
-        NoLossEvents: If no entry is strictly positive.
+    Over the blocks of terminal_chunks, each block's payoffs, computed once,
+    and the losses derived from them fill one reused (3, block) buffer; the
+    payoffs and the positive losses feed running moments, so no path-sized
+    or chunk-sized array is made. Returns the (payoff, writer, holder)
+    estimates at hedge fraction x and premium price; a loss's n_effective
+    counts the paths where it is positive, and its std_error is inf below two.
     """
-    arr = np.asarray(loss_values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("loss sample must be nonempty")
-    moments = RunningMoments()
-    moments.add(np.compress(arr > 0, arr))
-    if moments.count == 0:
-        raise NoLossEvents("no strictly positive losses in the sample")
-    return moments.estimate()
+    cfg = cfg or McConfig()
+    payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
+    losses = np.empty((3, min(_BLOCK, cfg.paths)))
+    for block in terminal_chunks(params, contract.expiry, cfg):
+        payoffs, w_loss, h_loss = _realized_losses(
+            params, contract, x, price, block, out=losses[:, : block.size]
+        )
+        payoff.add(payoffs)
+        writer.add(np.compress(w_loss > 0, w_loss))
+        holder.add(np.compress(h_loss > 0, h_loss))
+    return payoff.estimate(), writer.estimate(), holder.estimate()
 
 
 # The 12-point Gauss-Legendre rule on [-1, 1], bit for bit as

@@ -8,9 +8,11 @@ with the configured path count). Each is defined once, below.
 
 Importing this module does not load numpy. The package binds
 fairhedge.oracle but runs it on first use: only the four functions that
-sample import numpy and oracle names, in their bodies: draw_suite,
-check_price_vs_quadrature, _quadrature_risks and check_mc_agreement. The
-rest run on math, with one risk kernel per suite built by run_all_checks.
+sample reach numpy, from their bodies. draw_suite, check_price_vs_quadrature
+and _quadrature_risks import it, and check_mc_agreement only calls the
+oracle's one Monte Carlo estimator, mc_conditional_loss. The rest run on
+math, with one risk kernel per suite, and one priced property grid, built
+by run_all_checks.
 """
 
 from __future__ import annotations
@@ -199,27 +201,29 @@ def _property_grid(kernel: eq._RiskKernel) -> list[float]:
     return [i * step + start for i in range(99)] + [upper]
 
 
-def check_threshold_ordering(kernel: eq._RiskKernel) -> CheckResult:
-    """d1 < d < d2 (where d1 is finite) and d < d' at the fair price, on the property grid."""
-    xs = _property_grid(kernel)
+def check_threshold_ordering(
+    kernel: eq._RiskKernel, grid: list[tuple[float, float]]
+) -> CheckResult:
+    """d1 < d < d2 (where d1 is finite) and d < d' at each (x, fair price) of the grid."""
     violations = 0
-    for x in xs:
-        th = kernel.thresholds(x, kernel.fair_price(x))
+    for x, price in grid:
+        th = kernel.thresholds(x, price)
         if not ((th.d1 < th.d or not math.isfinite(th.d1)) and th.d < th.d2 and th.d < th.d_prime):
             violations += 1
-    detail = f"{violations} violations in {len(xs)} hedge fractions"
+    detail = f"{violations} violations in {len(grid)} hedge fractions"
     return CheckResult("threshold_ordering", violations == 0, detail)
 
 
-def check_threshold_arg_monotonicity(kernel: eq._RiskKernel) -> CheckResult:
+def check_threshold_arg_monotonicity(
+    kernel: eq._RiskKernel, grid: list[tuple[float, float]]
+) -> CheckResult:
     """The kernel's d1 and d2 log arguments never fall by over 1e-12 between grid points."""
-    xs = _property_grid(kernel)
-    args = [kernel.log_args(x, kernel.fair_price(x)) for x in xs]
+    args = [kernel.log_args(x, price) for x, price in grid]
     violations = sum(
         now[0] - before[0] < -1e-12 or now[1] - before[1] < -1e-12
         for before, now in zip(args, args[1:])
     )
-    detail = f"{violations} violations in {len(xs)} hedge fractions"
+    detail = f"{violations} violations in {len(grid)} hedge fractions"
     return CheckResult("threshold_arg_monotonicity", violations == 0, detail)
 
 
@@ -287,41 +291,25 @@ def check_mc_agreement(
     mc_cfg: McConfig,
     quote: eq.EquilibriumQuote,
 ) -> CheckResult:
-    """Closed forms at the quote vs their Monte Carlo estimates, _MC_BAND_SE standard errors.
+    """Closed forms at the quote vs the estimates of oracle.mc_conditional_loss, in bands.
 
-    One streamed pass over the blocks of terminal_chunks: each block's
-    payoffs, computed once, and the writer and holder losses derived from
-    them are written into one reused (3, block) buffer, and the payoffs and
-    the positive losses feed running moments, so no path-sized or
-    chunk-sized array is made. A sample with fewer than two positive losses
-    for either conditional risk has no finite band, so the check fails,
-    naming that risk, instead of raising; this covers a sample of one path
-    and one with no positive loss.
+    A sample with fewer than two positive losses for either conditional
+    risk has no finite band, so the check fails, naming that risk, instead
+    of raising; this covers a sample of one path and one with no positive
+    loss.
     """
-    import numpy as np
-
-    from .oracle import _BLOCK, _realized_losses, RunningMoments, terminal_chunks
+    from .oracle import mc_conditional_loss
 
     report = quote.report
     n = mc_cfg.paths
-    payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
-    losses = np.empty((3, min(_BLOCK, n)))
-    for block in terminal_chunks(params, contract.expiry, mc_cfg):
-        payoffs, w_loss, h_loss = _realized_losses(
-            params, contract, quote.x_star, quote.price, block, out=losses[:, : block.size]
-        )
-        payoff.add(payoffs)
-        writer.add(np.compress(w_loss > 0, w_loss))
-        holder.add(np.compress(h_loss > 0, h_loss))
-
-    for name, moments in (("writer_risk", writer), ("holder_risk", holder)):
-        if moments.count < 2:
-            noun = "loss" if moments.count == 1 else "losses"
-            detail = f"{name} has {moments.count} positive {noun}; a band needs at least 2"
+    payoff_est, w_est, h_est = mc_conditional_loss(params, contract, quote.x_star, quote.price, mc_cfg)
+    for name, est in (("writer_risk", w_est), ("holder_risk", h_est)):
+        if est.n_effective < 2:
+            noun = "loss" if est.n_effective == 1 else "losses"
+            detail = f"{name} has {est.n_effective} positive {noun}; a band needs at least 2"
             return CheckResult("mc_agreement", False, f"{detail}; paths {n}")
-    payoff_est, w_est, h_est = payoff.estimate(), writer.estimate(), holder.estimate()
     # The writer loses on exactly the paths counted in its positive losses.
-    p_hat = writer.count / n
+    p_hat = w_est.n_effective / n
     p_se = math.sqrt(p_hat * (1.0 - p_hat) / n)
     expected_call = expected_call_payoff_physical(params, contract)
     measured = [
@@ -358,13 +346,14 @@ def run_all_checks(
     kernel = eq._RiskKernel(params, contract)
     kernel.require_quotable()
     mc_cfg = mc_cfg or McConfig()
+    grid = [(x, kernel.fair_price(x)) for x in _property_grid(kernel)]
     results = [
         check_implied_vol_round_trip(params, contract),
         check_price_vs_quadrature(params, contract),
         check_physical_parity(params, contract),
         check_fair_play_identity(params, contract, kernel),
-        check_threshold_ordering(kernel),
-        check_threshold_arg_monotonicity(kernel),
+        check_threshold_ordering(kernel, grid),
+        check_threshold_arg_monotonicity(kernel, grid),
         check_risks_vs_quadrature(params, contract, kernel),
     ]
     quote = eq.minimize_writer_risk(params, contract)

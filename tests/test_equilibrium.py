@@ -296,9 +296,8 @@ class TestWriterRisk:
 
     def test_against_monte_carlo(self, ref_params, ref_contract):
         report = writer_risk(ref_params, ref_contract, 0.7212)
-        sample = simulate_terminal(ref_params, 1.0, McConfig(paths=1_000_000, seed=42))
-        losses = writer_loss(ref_params, ref_contract, 0.7212, report.fair_price, sample)
-        estimate = mc_conditional_loss(losses)
+        cfg = McConfig(paths=1_000_000, seed=42)
+        _, estimate, _ = mc_conditional_loss(ref_params, ref_contract, 0.7212, report.fair_price, cfg)
         assert abs(report.writer_risk - estimate.mean) <= 3.5 * estimate.std_error
 
     def test_positive_across_draws(self):
@@ -458,8 +457,8 @@ class TestHolderRisk:
     def test_against_monte_carlo(self, ref_params, ref_contract):
         value = writer_risk(ref_params, ref_contract, 0.7212).holder_risk
         price = fair_price(ref_params, ref_contract, 0.7212)
-        sample = simulate_terminal(ref_params, 1.0, McConfig(paths=1_000_000, seed=42))
-        estimate = mc_conditional_loss(holder_loss(ref_params, ref_contract, price, sample))
+        cfg = McConfig(paths=1_000_000, seed=42)
+        _, _, estimate = mc_conditional_loss(ref_params, ref_contract, 0.7212, price, cfg)
         assert abs(value - estimate.mean) <= 3.5 * estimate.std_error
 
 

@@ -8,13 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from fairhedge import MarketParams, McConfig, NoLossEvents, fair_price, std_normal_cdf
+from fairhedge import MarketParams, McConfig, fair_price, std_normal_cdf
 from fairhedge import oracle
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import (
     RunningMoments,
     holder_loss,
-    mc_conditional_loss,
     quad_expectation,
     simulate_terminal,
     terminal_chunks,
@@ -112,36 +111,6 @@ class TestSimulateTerminal:
             McConfig(seed=1.5)
 
 
-class TestMcConditionalLoss:
-    def test_hand_counted_sample(self):
-        est = mc_conditional_loss([-1.0, 2.0, 4.0])
-        assert est.mean == pytest.approx(3.0)
-        assert est.n_effective == 2
-        # sample std of {2, 4} is sqrt(2); / sqrt(2) gives 1
-        assert est.std_error == pytest.approx(1.0)
-
-    def test_no_positive_entries(self):
-        with pytest.raises(NoLossEvents):
-            mc_conditional_loss([-1.0, 0.0, -3.5])
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            mc_conditional_loss([])
-
-    def test_single_positive_entry_has_unknown_error(self):
-        est = mc_conditional_loss([-1.0, 5.0])
-        assert est.mean == pytest.approx(5.0)
-        assert est.n_effective == 1
-        assert math.isinf(est.std_error)
-
-    def test_two_dimensional_sample_is_read_flat(self):
-        values = np.random.default_rng(4).standard_normal((3, 1_001))
-        assert mc_conditional_loss(values) == mc_conditional_loss(values.ravel())
-        assert mc_conditional_loss([[-1.0, 2.0], [4.0, 0.0]]) == mc_conditional_loss(
-            [-1.0, 2.0, 4.0]
-        )
-
-
 class TestTerminalChunks:
     def test_chunks_concatenate_to_the_sample(self, ref_params):
         # The reused buffer is overwritten by the next block, so each block is copied.
@@ -176,6 +145,14 @@ def parent_conditional_loss(values):
     return float(positive.mean()), std_error, n
 
 
+def positive_moments(values):
+    """The estimate of one RunningMoments fed the strictly positive entries of values."""
+    values = np.asarray(values)
+    moments = RunningMoments()
+    moments.add(np.compress(values > 0, values))
+    return moments.estimate()
+
+
 class TestRunningMoments:
     SAMPLES = [
         np.array([-1.0, 2.0, 4.0]),
@@ -191,7 +168,25 @@ class TestRunningMoments:
         moments.add(values[values > 0])
         est = moments.estimate()
         assert (est.mean, est.std_error, est.n_effective) == parent_conditional_loss(values)
-        assert mc_conditional_loss(values) == est
+
+    # Hand-counted samples: each block's positive losses, as mc_conditional_loss feeds them.
+    def test_hand_counted_sample(self):
+        est = positive_moments([-1.0, 2.0, 4.0])
+        assert est.mean == pytest.approx(3.0)
+        assert est.n_effective == 2
+        # sample std of {2, 4} is sqrt(2); / sqrt(2) gives 1
+        assert est.std_error == pytest.approx(1.0)
+
+    def test_single_positive_entry_has_unknown_error(self):
+        est = positive_moments([-1.0, 5.0])
+        assert est.mean == pytest.approx(5.0)
+        assert est.n_effective == 1
+        assert math.isinf(est.std_error)
+
+    def test_no_positive_entry_has_no_count_and_unknown_error(self):
+        est = positive_moments([-1.0, 0.0, -3.5])
+        assert est.n_effective == 0
+        assert math.isinf(est.std_error)
 
     def test_merged_blocks_match_numpy(self):
         values = np.random.default_rng(3).lognormal(1.0, 0.8, 100_003)

@@ -2,8 +2,9 @@
 
 The suite builds one risk kernel for its checks, shares one quote between
 its Monte Carlo and grid checks and one quadrature rule between every
-tested hedge fraction's loss integrands, and the Monte Carlo check streams
-its sample block by block through running moments. These tests pin that
+tested hedge fraction's loss integrands, and the Monte Carlo check takes
+its estimates from the oracle's one estimator, mc_conditional_loss, which
+streams the sample block by block through running moments. These tests pin that
 the shared and streamed versions give the values of the step-by-step,
 whole-array ones (the streamed moments bit for bit those of a block-wise
 boolean-index pass), and that a sample too small for a finite Monte Carlo
@@ -13,7 +14,8 @@ intrinsic bound round-trips through its out-of-the-money put. Each
 tolerance-bounded check passes at half its tolerance and fails at twice
 it, with its exact detail text. The two threshold property checks test
 the caller's kernel on a 100-point hedge grid, with the bits of numpy's
-linspace, and fail, with a count, when a cut point is out of order or a
+linspace, which the suite prices once for both, and fail, with a count,
+when a cut point is out of order or a
 log argument falls. The quadrature risk check skips and counts a hedge
 fraction whose loss event has no weight on the rule, and a contract below
 the premium floor raises EmptyDomain before any check runs.
@@ -332,6 +334,45 @@ def test_streamed_mc_check_matches_whole_array_estimates(
     assert result.passed == passed
 
 
+@pytest.mark.parametrize("paths", [100_003, 2 * 262_144 + 3])
+def test_mc_estimator_has_the_bits_of_blockwise_boolean_index_moments(
+    ref_params, ref_contract, paths
+):
+    markets = [(ref_params, ref_contract), *WINDOWED_MARKETS[:1]]
+    for params, contract in markets:
+        quote = eq.minimize_writer_risk(params, contract)
+        cfg = McConfig(paths=paths, seed=11)
+        estimates = oracle.mc_conditional_loss(params, contract, quote.x_star, quote.price, cfg)
+        reference = blockwise_boolean_index_moments(params, contract, cfg, quote)
+        assert estimates == tuple(moments.estimate() for moments in reference)
+        assert estimates[0].n_effective == paths
+
+
+def test_mc_check_takes_its_estimates_from_the_oracle(monkeypatch, ref_params, ref_contract):
+    quote = eq.minimize_writer_risk(ref_params, ref_contract)
+    quote = replace(quote, report=replace(quote.report, loss_prob=0.3, writer_risk=5.0,
+                                          holder_risk=3.0))
+    cfg = McConfig(paths=1_000)
+    expected_call = expected_call_payoff_physical(ref_params, ref_contract)
+    calls = []
+
+    def fixed(*args):
+        calls.append(args)
+        return (oracle.McEstimate(expected_call + 0.5, 0.2, 1_000),
+                oracle.McEstimate(5.1, 0.04, 250), oracle.McEstimate(2.9, 0.02, 600))
+
+    monkeypatch.setattr(oracle, "mc_conditional_loss", fixed)
+    result = check_mc_agreement(ref_params, ref_contract, cfg, quote)
+    assert calls == [(ref_params, ref_contract, quote.x_star, quote.price, cfg)]
+    # p_hat = 250 / 1000 and its band 3.5 sqrt(0.25 * 0.75 / 1000) = 4.79e-02.
+    assert (result.passed, result.detail) == (
+        False,
+        "expected_call gap 5.00e-01 (band 7.00e-01); loss_prob gap 5.00e-02 (band 4.79e-02); "
+        "writer_risk gap 1.00e-01 (band 1.40e-01); holder_risk gap 1.00e-01 (band 7.00e-02); "
+        "paths 1000",
+    )
+
+
 def test_mc_check_holds_no_path_sized_array(ref_params, ref_contract):
     # The whole-array check peaked at 24.1 MB for a million paths (8 MB per array).
     quote = eq.minimize_writer_risk(ref_params, ref_contract)
@@ -549,13 +590,43 @@ def test_property_grid_has_the_bits_of_numpys_linspace(ref_params, ref_contract)
         assert [x.hex() for x in _property_grid(kernel)] == linspace_bits(upper), u
 
 
+def priced_grid(kernel):
+    """The property grid with each hedge fraction's fair price, as run_all_checks passes it."""
+    return [(x, kernel.fair_price(x)) for x in _property_grid(kernel)]
+
+
+def property_check(check, params, contract):
+    kernel = eq._RiskKernel(params, contract)
+    return check(kernel, priced_grid(kernel))
+
+
 def test_property_checks_pass_on_the_reference_and_drawn_markets(ref_params, ref_contract):
     markets = [(ref_params, ref_contract)] + [(p, c) for p, c, _ in draw_suite(24, seed=31)]
     for params, contract in markets:
         for check in (check_threshold_ordering, check_threshold_arg_monotonicity):
-            result = check(eq._RiskKernel(params, contract))
+            result = property_check(check, params, contract)
             assert result.passed is True, (check.__name__, params, contract)
             assert result.detail == "0 violations in 100 hedge fractions"
+
+
+def test_suite_prices_the_property_grid_once(monkeypatch, ref_params, ref_contract):
+    # Both property checks read one priced grid; each priced it before.
+    grid = set(_property_grid(eq._RiskKernel(ref_params, ref_contract)))
+    priced = []
+    original = eq._RiskKernel.fair_price
+
+    def counted(kernel, x):
+        if x in grid:
+            priced.append(x)
+        return original(kernel, x)
+
+    monkeypatch.setattr(eq._RiskKernel, "fair_price", counted)
+    results = run_all_checks(ref_params, ref_contract, mc_cfg=McConfig(paths=10_000))
+    assert all(r.passed for r in results)
+    assert sorted(priced) == sorted(grid) and len(grid) == 100
+    details = {r.name: r.detail for r in results}
+    assert details["threshold_ordering"] == "0 violations in 100 hedge fractions"
+    assert details["threshold_arg_monotonicity"] == "0 violations in 100 hedge fractions"
 
 
 def test_threshold_ordering_counts_the_hedge_fractions_with_d_prime_below_d(
@@ -570,7 +641,7 @@ def test_threshold_ordering_counts_the_hedge_fractions_with_d_prime_below_d(
         return kernel.d - 1.0 if price < half_price else original(kernel, price)
 
     monkeypatch.setattr(eq._RiskKernel, "_d_prime", d_prime)
-    result = check_threshold_ordering(eq._RiskKernel(ref_params, ref_contract))
+    result = property_check(check_threshold_ordering, ref_params, ref_contract)
     assert result.passed is False
     assert result.detail == "50 violations in 100 hedge fractions"
 
@@ -585,7 +656,7 @@ def test_threshold_arg_monotonicity_fails_when_the_d2_argument_falls(
         return kernel.discount * kernel.expected_payoff * (1 - x)
 
     monkeypatch.setattr(eq._RiskKernel, "fair_price", fair_price)
-    result = check_threshold_arg_monotonicity(eq._RiskKernel(ref_params, ref_contract))
+    result = property_check(check_threshold_arg_monotonicity, ref_params, ref_contract)
     assert result.passed is False
     assert result.detail == "99 violations in 100 hedge fractions"
 
@@ -601,7 +672,7 @@ def test_threshold_arg_monotonicity_reads_the_kernel_log_args(
         return original(kernel, x, price)[0], -x
 
     monkeypatch.setattr(eq._RiskKernel, "log_args", log_args)
-    result = check_threshold_arg_monotonicity(eq._RiskKernel(ref_params, ref_contract))
+    result = property_check(check_threshold_arg_monotonicity, ref_params, ref_contract)
     assert (result.passed, result.detail) == (False, "99 violations in 100 hedge fractions")
 
 

@@ -17,7 +17,14 @@ library is imported from this checkout's ``src/``. Records:
   low-volatility grid (S0 = 100, sigma from 0.002 to 0.1, T from 0.01 to
   1, K/S0 from 0.8 to 1.3; see ``LOWVOL``). This section is not a
   benchmark pool: it covers the regime where the writer's loss
-  probability nears the bottom of the float range, which no pool reaches.
+  probability nears the bottom of the float range, which no pool reaches;
+- ``mc``: ``(count, mean, m2)`` of each ``RunningMoments`` (payoff, writer
+  loss, holder loss) that each suite of the validate pools of seeds 1 and
+  2 builds, every bit of the Monte Carlo estimates that ``validate`` prints
+  to three digits. They are recorded by replacing
+  ``fairhedge.oracle.RunningMoments`` with a subclass that keeps each
+  instance, so the script reads them from any tree that builds its
+  moments from that name.
 
 Floats print as ``float.hex``, so two checkouts give the same output if
 and only if every number agrees bit for bit: ``diff`` the digests of two
@@ -42,6 +49,7 @@ from fairhedge import MarketParams, OptionContract, minimize_writer_risk
 
 SEEDS = {"quote": (1, 2, 3), "smile": (1,), "validate": (1, 2, 5, 7), "cli": (1, 2, 3)}
 CALLS = {"validate": 2}
+MC_SEEDS = (1, 2)
 # The low-volatility grid's axes; a market is one (sigma, T, K/S0, mu, r) at S0 = 100.
 LOWVOL = {
     "sigma": (0.002, 0.005, 0.01, 0.02, 0.05, 0.1),
@@ -86,7 +94,33 @@ def main() -> int:
         record = {"workload": "lowvol", "index": index, "market": [sigma, t, moneyness, mu, r],
                   "output": encoded_output(minimize_writer_risk, params, contract)}
         print(json.dumps(record, sort_keys=True), flush=True)
+    for record in mc_records():
+        print(json.dumps(record, sort_keys=True), flush=True)
     return 0
+
+
+def mc_records():
+    """One record per validate suite of MC_SEEDS: the full bits of its running moments."""
+    import fairhedge.oracle as oracle
+
+    built = []
+
+    class Recorded(oracle.RunningMoments):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    original, oracle.RunningMoments = oracle.RunningMoments, Recorded
+    try:
+        for seed in MC_SEEDS:
+            workload = workloads.WORKLOADS["validate"](seed)
+            for index, item in enumerate(workload.inputs):
+                built.clear()
+                encoded_output(workload.request, item)  # a raise is in the validate section
+                moments = [[m.count, m.mean.hex(), m.m2.hex()] for m in built]
+                yield {"workload": "mc", "seed": seed, "index": index, "moments": moments}
+    finally:
+        oracle.RunningMoments = original
 
 
 if __name__ == "__main__":
