@@ -11,7 +11,7 @@ from fairhedge import (
     expected_call_payoff_physical,
     minimize_writer_risk,
 )
-from fairhedge.oracle import mc_conditional_loss, quad_expectation, terminal_price, writer_loss
+from fairhedge.oracle import mc_conditional_loss, quad_expectation, realized_losses, terminal_price
 
 
 def main():
@@ -30,12 +30,11 @@ def main():
     closed = expected_call_payoff_physical(params, contract)
     print(f"E[(S-K)+]   closed {closed:.10f}   quadrature {expected_payoff_quad:.10f}")
 
+    def writer_loss(z):
+        return realized_losses(params, contract, quote.x_star, quote.price, terminal(z))[1]
+
     cuts = [report.thresholds.d1, report.thresholds.d, report.thresholds.d2]
-    prob_quad = quad_expectation(
-        lambda z: (writer_loss(params, contract, quote.x_star, quote.price, terminal(z)) > 0)
-        .astype(float),
-        breakpoints=cuts,
-    )
+    prob_quad = quad_expectation(lambda z: (writer_loss(z) > 0).astype(float), breakpoints=cuts)
     print(f"P(loss)     closed {report.loss_prob:.10f}   quadrature {prob_quad:.10f}")
 
     # Monte Carlo: one million exact lognormal draws, seeded chunk by chunk so

@@ -33,8 +33,8 @@ __all__ = ["RunConfig", "build_parser", "main", "run"]
 
 SMILE_CSV_HEADER = "strike,price,x_star,writer_risk,holder_risk,loss_prob,implied_vol,error"
 # Most Monte Carlo paths a config may ask for: validate's Monte Carlo check
-# streams about 6e7 paths/s on one core of a 2-core x86-64 VM (1e7 paths in
-# 0.16 s), so 10**9 paths take about 16 s.
+# streams about 4.5e7 paths/s on one core of a 2-core x86-64 VM (1e8 paths in
+# 2.2 s), so 10**9 paths take about 22 s.
 MAX_PATHS = 10**9
 
 

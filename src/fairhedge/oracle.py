@@ -5,10 +5,10 @@ The simulator draws exact lognormal terminal prices (the SDE has a closed
 solution, so there is no time-stepping error) from one random stream per
 chunk, block by block into one reused block buffer, and RunningMoments
 folds a sample into a mean and standard error block by block.
-mc_conditional_loss, the one Monte Carlo estimator, runs both in one
-pass: E[C(T)] and each party's expected loss given a loss, with no
-path-sized array. writer_loss and holder_loss score terminal prices by
-the definitions of the two losses, path by path. The
+realized_losses scores terminal prices by the definitions of C(T) and
+the two parties' losses, path by path. mc_conditional_loss, the one
+Monte Carlo estimator, runs all of it in one pass: E[C(T)] and each
+party's expected loss given a loss, with no path-sized array. The
 quadrature computes E[f(Z)] for Z ~ N(0,1) with a composite
 Gauss-Legendre rule, summed in a fixed order. Indicator discontinuities
 should be passed as breakpoints so every panel sees a smooth integrand.
@@ -29,8 +29,7 @@ __all__ = [
     "RunningMoments",
     "terminal_price",
     "terminal_chunks",
-    "writer_loss",
-    "holder_loss",
+    "realized_losses",
     "simulate_terminal",
     "mc_conditional_loss",
     "quad_rule",
@@ -47,7 +46,10 @@ _BLOCK = 32_768
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo estimate: mean, its standard error, and effective count."""
+    """Monte Carlo estimate: mean, its standard error, and effective count.
+
+    An empty sample's mean is the math.nan object, so two empty estimates compare equal.
+    """
 
     mean: float
     std_error: float
@@ -117,14 +119,16 @@ def simulate_terminal(
     return out
 
 
-def _realized_losses(
+def realized_losses(
     params: MarketParams, contract: OptionContract, x: float, price: float, terminal, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C(T), writer loss, holder loss) at terminal prices, C(T) = (S(T)-K)^+ computed once.
 
-    The one statement of the loss formulas, in their operation order. The
-    three arrays are new (0-d for a scalar), or the rows of out, an array
-    of shape (3, len(terminal)), when given.
+    The one statement of the loss formulas, in their operation order: the
+    writer, hedged with x shares, loses C(T) - x (S(T) - S0 e^{rT}) -
+    price e^{rT}, and the holder loses price e^{rT} - C(T), which does not
+    depend on x. The three arrays are new (0-d for a scalar), or the rows
+    of out, an array of shape (3, len(terminal)), when given.
     """
     s = np.asarray(terminal, dtype=float)
     payoff, writer, holder = (np.empty_like(s) for _ in range(3)) if out is None else out
@@ -138,24 +142,6 @@ def _realized_losses(
     writer -= premium
     np.subtract(premium, payoff, out=holder)
     return payoff, writer, holder
-
-
-def writer_loss(
-    params: MarketParams, contract: OptionContract, x: float, price: float, terminal: np.ndarray
-) -> np.ndarray:
-    """Realized writer loss C(T) - x (S(T) - S0 e^{rT}) - price e^{rT}.
-
-    Vectorized over terminal prices; the definitional counterpart of the
-    closed-form risk, used by the simulation and quadrature cross-checks.
-    """
-    return _realized_losses(params, contract, x, price, terminal)[1]
-
-
-def holder_loss(
-    params: MarketParams, contract: OptionContract, price: float, terminal: np.ndarray
-) -> np.ndarray:
-    """Realized holder loss price e^{rT} - C(T), vectorized over terminal prices."""
-    return _realized_losses(params, contract, 0.0, price, terminal)[2]
 
 
 class RunningMoments:
@@ -193,10 +179,10 @@ class RunningMoments:
         self.count = total
 
     def estimate(self) -> McEstimate:
-        """The mean, its standard error sqrt(M2 / (n - 1)) / sqrt(n) (inf at n = 1), and n."""
+        """Mean (nan at n = 0), standard error sqrt(M2 / (n - 1)) / sqrt(n) (inf below 2), n."""
         n = self.count
         std_error = math.sqrt(self.m2 / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
-        return McEstimate(mean=self.mean, std_error=std_error, n_effective=n)
+        return McEstimate(mean=self.mean if n else math.nan, std_error=std_error, n_effective=n)
 
 
 def mc_conditional_loss(
@@ -209,13 +195,14 @@ def mc_conditional_loss(
     payoffs and the positive losses feed running moments, so no path-sized
     or chunk-sized array is made. Returns the (payoff, writer, holder)
     estimates at hedge fraction x and premium price; a loss's n_effective
-    counts the paths where it is positive, and its std_error is inf below two.
+    counts the paths where it is positive, its std_error is inf below two,
+    and its mean is nan at zero.
     """
     cfg = cfg or McConfig()
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     losses = np.empty((3, min(_BLOCK, cfg.paths)))
     for block in terminal_chunks(params, contract.expiry, cfg):
-        payoffs, w_loss, h_loss = _realized_losses(
+        payoffs, w_loss, h_loss = realized_losses(
             params, contract, x, price, block, out=losses[:, : block.size]
         )
         payoff.add(payoffs)

@@ -238,14 +238,14 @@ def _quadrature_risks(
     """
     import numpy as np
 
-    from .oracle import _realized_losses, quad_rule, terminal_price
+    from .oracle import quad_rule, realized_losses, terminal_price
 
     thresholds = [rep.thresholds for rep in reports]
     z, weights = quad_rule([cut for th in thresholds for cut in (th.d1, th.d, th.d2, th.d_prime)])
     terminal = terminal_price(params, contract.expiry, z, params.drift)
     risks = []
     for rep in reports:
-        _, w_loss, h_loss = _realized_losses(params, contract, rep.x, rep.fair_price, terminal)
+        _, w_loss, h_loss = realized_losses(params, contract, rep.x, rep.fair_price, terminal)
         # Summed in numpy's fixed order, as quad_expectation sums: the same bits.
         prob = float(np.add.reduce(weights * (w_loss > 0)))
         h_prob = float(np.add.reduce(weights * (h_loss > 0)))

@@ -41,12 +41,11 @@ from fairhedge import (
 from fairhedge import equilibrium
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import (
-    holder_loss,
     mc_conditional_loss,
     quad_expectation,
+    realized_losses,
     simulate_terminal,
     terminal_price,
-    writer_loss,
 )
 from fairhedge.validation import _quadrature_risks, check_physical_parity, draw_suite, rel_err
 
@@ -200,7 +199,8 @@ class TestRiskThresholds:
 
         prob = std_normal_cdf(th.d1) + std_normal_cdf(-th.d2)
         sample = simulate_terminal(ref_params, 1.0, McConfig(paths=1_000_000, seed=99))
-        frequency = float((writer_loss(ref_params, ref_contract, x, price, sample) > 0).mean())
+        writer = realized_losses(ref_params, ref_contract, x, price, sample)[1]
+        frequency = float((writer > 0).mean())
         se = math.sqrt(frequency * (1.0 - frequency) / sample.size)
         assert abs(prob - frequency) <= 3.0 * se
 
@@ -311,11 +311,11 @@ class TestWriterRisk:
         self, ref_params, ref_contract
     ):
         terminal = np.array([60.0, 100.0, 131.5])
-        writer = writer_loss(ref_params, ref_contract, 0.7212, 12.1, terminal)
-        holder = holder_loss(ref_params, ref_contract, 12.1, terminal)
+        _, writer, holder = realized_losses(ref_params, ref_contract, 0.7212, 12.1, terminal)
         for s, w, h in zip(terminal.tolist(), writer.tolist(), holder.tolist()):
-            assert float(writer_loss(ref_params, ref_contract, 0.7212, 12.1, s)) == w
-            assert float(holder_loss(ref_params, ref_contract, 12.1, s)) == h
+            scalar = realized_losses(ref_params, ref_contract, 0.7212, 12.1, s)
+            assert float(scalar[1]) == w
+            assert float(scalar[2]) == h
 
     def test_underflowed_loss_probability_raises(self):
         # Unhedged, the writer loses only above d2 = 39, and N(-39) ~ 1e-333 underflows to 0.

@@ -13,12 +13,11 @@ from fairhedge import oracle
 from fairhedge.equilibrium import risk_thresholds
 from fairhedge.oracle import (
     RunningMoments,
-    holder_loss,
     quad_expectation,
+    realized_losses,
     simulate_terminal,
     terminal_chunks,
     terminal_price,
-    writer_loss,
 )
 
 REF_EXPECTED_CALL = 14.665260653636608  # quadrature value, see test_core
@@ -85,8 +84,9 @@ class TestSimulateTerminal:
         # S0 exp((r - sigma^2/2) T + sigma sqrt(T) z) of the price quadrature.
         risk_neutral = 100.0 * np.exp((0.05 - 0.5 * 0.2**2) * 1.0 + 0.2 * math.sqrt(1.0) * z)
         assert np.array_equal(terminal_price(ref_params, 1.0, z, 0.05), risk_neutral)
-        assert np.array_equal(writer_loss(ref_params, ref_contract, x, price, sample), plain_writer)
-        assert np.array_equal(holder_loss(ref_params, ref_contract, price, sample), plain_holder)
+        _, writer, holder = realized_losses(ref_params, ref_contract, x, price, sample)
+        assert np.array_equal(writer, plain_writer)
+        assert np.array_equal(holder, plain_holder)
 
     def test_scalar_terminal_price_matches_the_array_map(self, ref_params):
         z = np.array([-1.5, 0.0, 0.3])
@@ -135,6 +135,30 @@ class TestTerminalChunks:
             [block.copy() for block in terminal_chunks(ref_params, 1.0, McConfig(paths, 17))]
         )
         assert streamed.tobytes() == expected.tobytes()
+
+
+class TestRealizedLosses:
+    @pytest.mark.parametrize("market", ["reference", "drawn"])
+    def test_rows_of_out_have_the_bits_of_new_arrays(self, ref_params, ref_contract, market):
+        if market == "reference":
+            params, contract, x, price = ref_params, ref_contract, 0.7212, 12.1
+        else:
+            from fairhedge.validation import draw_suite
+
+            params, contract, x = next(iter(draw_suite(1, seed=31)))
+            price = fair_price(params, contract, x)
+        terminal = simulate_terminal(params, contract.expiry, McConfig(paths=1_001, seed=9))
+        fresh = realized_losses(params, contract, x, price, terminal)
+        # A slice of a wider buffer, as the streamed estimator passes its last block.
+        rows = np.full((3, 2_000), np.nan)[:, : terminal.size]
+        written = realized_losses(params, contract, x, price, terminal, out=rows)
+        for i, (row, new) in enumerate(zip(written, fresh)):
+            assert row.shape == new.shape and np.shares_memory(row, rows[i])
+            assert row.tobytes() == new.tobytes()
+        # The holder's loss does not depend on the hedge fraction.
+        for hedge in (0.0, 0.7212):
+            holder = realized_losses(params, contract, hedge, price, terminal)[2]
+            assert holder.tobytes() == fresh[2].tobytes()
 
 
 def parent_conditional_loss(values):
@@ -187,6 +211,8 @@ class TestRunningMoments:
         est = positive_moments([-1.0, 0.0, -3.5])
         assert est.n_effective == 0
         assert math.isinf(est.std_error)
+        assert est.mean is math.nan
+        assert est == positive_moments([])
 
     def test_merged_blocks_match_numpy(self):
         values = np.random.default_rng(3).lognormal(1.0, 0.8, 100_003)

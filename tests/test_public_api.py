@@ -97,7 +97,7 @@ def test_oracle_names_are_imported_from_the_oracle_only():
     # The package binds the module, not its names; McConfig is core's, which
     # the oracle imports but does not export.
     names = ("McEstimate", "simulate_terminal", "mc_conditional_loss", "quad_expectation",
-             "writer_loss", "holder_loss")
+             "realized_losses")
     for name in names:
         assert name in oracle.__all__ and not hasattr(fairhedge, name), name
     assert fairhedge.oracle is sys.modules["fairhedge.oracle"] is oracle
@@ -226,6 +226,7 @@ def test_only_monte_carlo_size_and_seed_are_settable():
         equilibrium.revalue_at_time: ["params", "contract", "t", "spot_at_t"],
         oracle.terminal_price: ["params", "expiry", "z", "growth", "out"],
         oracle.terminal_chunks: ["params", "expiry", "cfg"],
+        oracle.realized_losses: ["params", "contract", "x", "price", "terminal", "out"],
         oracle.mc_conditional_loss: ["params", "contract", "x", "price", "cfg"],
         oracle.quad_rule: ["breakpoints"],
         oracle.quad_expectation: ["integrand", "breakpoints"],

@@ -50,12 +50,11 @@ from fairhedge import (
 from fairhedge.core import rate_factors
 from fairhedge.oracle import (
     RunningMoments,
-    holder_loss,
     quad_expectation,
+    realized_losses,
     simulate_terminal,
     terminal_chunks,
     terminal_price,
-    writer_loss,
 )
 from fairhedge.validation import (
     _property_grid,
@@ -148,11 +147,11 @@ def quadrature_risk_by_four_rules(params, contract, x, price):
 
     def w_loss(z):
         terminal = terminal_price(params, contract.expiry, z, params.drift)
-        return writer_loss(params, contract, x, price, terminal)
+        return realized_losses(params, contract, x, price, terminal)[1]
 
     def h_loss(z):
         terminal = terminal_price(params, contract.expiry, z, params.drift)
-        return holder_loss(params, contract, price, terminal)
+        return realized_losses(params, contract, x, price, terminal)[2]
 
     cuts = [th.d1, th.d, th.d2, th.d_prime]
     prob = quad_expectation(lambda z: (w_loss(z) > 0).astype(float), cuts)
@@ -259,8 +258,7 @@ def whole_array_mc_moments(params, contract, cfg, quote):
     sample = simulate_terminal(params, contract.expiry, cfg)
     n = sample.size
     payoff = np.maximum(sample - contract.strike, 0.0)
-    w_losses = writer_loss(params, contract, quote.x_star, quote.price, sample)
-    h_losses = holder_loss(params, contract, quote.price, sample)
+    _, w_losses, h_losses = realized_losses(params, contract, quote.x_star, quote.price, sample)
     w_pos, h_pos = w_losses[w_losses > 0], h_losses[h_losses > 0]
     p_hat = float((w_losses > 0).mean())
     estimates = {
@@ -284,10 +282,9 @@ def blockwise_boolean_index_moments(params, contract, cfg, quote):
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     for terminal in terminal_chunks(params, contract.expiry, cfg):
         payoff.add(np.maximum(terminal - contract.strike, 0.0))
-        v = writer_loss(params, contract, quote.x_star, quote.price, terminal)
-        writer.add(v[v > 0])
-        v = holder_loss(params, contract, quote.price, terminal)
-        holder.add(v[v > 0])
+        _, w, h = realized_losses(params, contract, quote.x_star, quote.price, terminal)
+        writer.add(w[w > 0])
+        holder.add(h[h > 0])
     return payoff, writer, holder
 
 

@@ -29,13 +29,18 @@ library is imported from this checkout's ``src/``. Records:
 Floats print as ``float.hex``, so two checkouts give the same output if
 and only if every number agrees bit for bit: ``diff`` the digests of two
 checkouts to check that a change left every output unchanged. A request
-that raises prints its exception type and message instead. A full run
-takes about a minute on a two-core machine.
+that raises prints its exception type and message instead. At the end,
+stderr gets one line per section and a ``total`` line, each with the
+record count and the sha256 of those records' lines as stdout has them
+(the total's is the sha256 of stdout), so one run can be quoted and
+compared without keeping its output. A full run takes about a minute on
+a two-core machine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import sys
@@ -80,23 +85,36 @@ def encoded_output(request, *args):
 
 
 def main() -> int:
+    summary = {}  # section: [record count, sha256 of its lines]
+    for record in records():
+        line = (json.dumps(record, sort_keys=True) + "\n").encode()
+        sys.stdout.buffer.write(line)
+        sys.stdout.buffer.flush()
+        for section in (record["workload"], "total"):
+            entry = summary.setdefault(section, [0, hashlib.sha256()])
+            entry[0] += 1
+            entry[1].update(line)
+    summary["total"] = summary.pop("total")  # printed last
+    for section, (count, digest) in summary.items():
+        print(f"{section:<8} {count:>5} records  sha256 {digest.hexdigest()}", file=sys.stderr)
+    return 0
+
+
+def records():
+    """Every record of the digest, section by section."""
     for name, seeds in SEEDS.items():
         for seed in seeds:
             workload = workloads.WORKLOADS[name](seed)
             for call in range(CALLS.get(name, 1)):
                 for index, item in enumerate(workload.inputs):
-                    record = {"workload": name, "seed": seed, "call": call, "index": index,
-                              "output": encoded_output(workload.request, item)}
-                    print(json.dumps(record, sort_keys=True), flush=True)
+                    yield {"workload": name, "seed": seed, "call": call, "index": index,
+                           "output": encoded_output(workload.request, item)}
     for index, (sigma, t, moneyness, mu, r) in enumerate(itertools.product(*LOWVOL.values())):
         params = MarketParams(spot=100.0, drift=mu, volatility=sigma, risk_free=r)
         contract = OptionContract(strike=100.0 * moneyness, expiry=t)
-        record = {"workload": "lowvol", "index": index, "market": [sigma, t, moneyness, mu, r],
-                  "output": encoded_output(minimize_writer_risk, params, contract)}
-        print(json.dumps(record, sort_keys=True), flush=True)
-    for record in mc_records():
-        print(json.dumps(record, sort_keys=True), flush=True)
-    return 0
+        yield {"workload": "lowvol", "index": index, "market": [sigma, t, moneyness, mu, r],
+               "output": encoded_output(minimize_writer_risk, params, contract)}
+    yield from mc_records()
 
 
 def mc_records():
