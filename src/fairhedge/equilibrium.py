@@ -25,9 +25,11 @@ losses that the oracles score path by path live in oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .core import (
     _SQRT2,
@@ -149,12 +151,13 @@ class _RiskKernel:
     d' are fixed at construction. Construction raises DegenerateMarket
     when a growth factor leaves the float range (from rate_factors) or the
     hedge edge is zero in floating point, so x_max would divide by zero.
-    The methods take one float x and evaluate the formulas in one fixed
-    operation order, so the public wrappers, the minimizer and the checks
-    give identical bits. The minimizer's objective risk_at is the writer's
-    side only, or inf where writer_terms raises, so a point without a risk
-    never wins; report adds d' and the holder's risk to writer_terms, which
-    inlines the log_args formulas that thresholds and the checks call.
+    The methods evaluate one float x at a time, in one fixed operation
+    order, so the public wrappers, the minimizer and the checks give
+    identical bits. The minimizer's objective, lowest_risk over a sequence
+    and risk_at at one x, is the writer's side only, or inf where
+    writer_terms raises, so a point without a risk never wins; report adds
+    d' and the holder's risk to writer_terms, which inlines the log_args
+    formulas that thresholds and the checks call.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -259,11 +262,27 @@ class _RiskKernel:
         )
         return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w
 
+    def lowest_risk(self, xs: Iterable[float]) -> tuple[float, float]:
+        """(risk, x): the lowest writer risk over a nonempty xs, scored in order, and its first x.
+
+        The one scoring rule: an x scores its writer risk, or +inf where
+        writer_terms raises a PricingError. The first x seeds the minimum and
+        only a strictly lower risk replaces it, so a tie keeps the earlier x.
+        """
+        writer_terms = self.writer_terms
+        best_risk, best_x = math.inf, None
+        for x in xs:
+            try:
+                risk = writer_terms(x)[6]
+            except PricingError:
+                risk = math.inf
+            if risk < best_risk or best_x is None:
+                best_risk, best_x = risk, x
+        return best_risk, best_x
+
     def risk_at(self, x: float) -> float:
-        try:
-            return self.writer_terms(x)[6]
-        except PricingError:
-            return math.inf
+        """The score of x alone: its writer risk, or +inf where it has none."""
+        return self.lowest_risk((x,))[0]
 
     def report(self, x: float) -> RiskReport:
         price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = self.writer_terms(x)
@@ -365,10 +384,12 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
     """Hedge fraction minimizing the writer's risk, and the premium it implies.
 
     A scan with step NumericConfig.minimizer_grid covers the hedge domain
-    [0, x_hi], where the fair price is positive and x <= 1 - 1e-6. Compass
-    steps then try x* +- step inside it, halving the step until it is at most
-    NumericConfig.minimizer_tol / 2. Every comparison keeps the lowest
-    (risk, x) pair, so ties go to the smaller x and x* is an evaluated point.
+    [0, x_hi], where the fair price is positive and x <= 1 - 1e-6: one
+    lowest_risk loop in ascending x, x_hi last when it is off the grid.
+    Compass steps then try x* +- step inside it, halving the step until it
+    is at most NumericConfig.minimizer_tol / 2. Every comparison keeps the
+    lowest risk and, among equal risks, the smaller x, so x* is an evaluated
+    point; a grid where every point raises ends at x = 0, whose report raises.
 
     Raises:
         EmptyDomain: If the expected payoff is below the premium floor, 1e-8
@@ -376,16 +397,21 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
     """
     kernel = _RiskKernel(params, contract)
     kernel.require_quotable()
-    risk_at, step, hi = kernel.risk_at, NumericConfig.minimizer_grid, kernel.x_hi
-    grid = [i * step for i in range(int(hi / step) + 1)]
-    if grid[-1] < hi:
-        grid.append(hi)
-    best = min((risk_at(x), x) for x in grid)
+    step, hi = NumericConfig.minimizer_grid, kernel.x_hi
+    points = int(hi / step) + 1
+    # The points i * step, then x_hi if it is off the grid; step.__mul__(i) has the
+    # bits of i * step, and map calls it with no Python frame per point.
+    grid = map(step.__mul__, range(points))
+    if (points - 1) * step < hi:
+        grid = itertools.chain(grid, (hi,))
+    risk, x_star = kernel.lowest_risk(grid)
     while step > NumericConfig.minimizer_tol / 2:
         step /= 2
-        centre = best[1]
-        best = min([best] + [(risk_at(x), x) for x in (centre - step, centre + step) if 0 <= x <= hi])
-    x_star = best[1]
+        for x in (x_star - step, x_star + step):
+            if 0 <= x <= hi:
+                trial = kernel.risk_at(x)
+                if trial < risk or trial == risk and x < x_star:
+                    risk, x_star = trial, x
     report = kernel.report(x_star)
     return EquilibriumQuote(x_star=x_star, price=report.fair_price, report=report)
 

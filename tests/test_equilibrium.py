@@ -552,6 +552,145 @@ class TestCompassRefinement:
         assert math.isfinite(quote.report.writer_risk)
 
 
+
+def tuple_min_search(params, contract):
+    """The minimizer's search as it ran before one loop scored the grid: (x*, report).
+
+    A min over (risk, x) pairs of the whole grid list, then compass steps that
+    each take the min of [best] and the in-domain pairs at x* - step and x* + step,
+    so ties go to the smaller x. A point scores inf where writer_terms raises.
+    """
+    kernel = equilibrium._RiskKernel(params, contract)
+    kernel.require_quotable()
+
+    def risk_at(x):
+        try:
+            return kernel.writer_terms(x)[6]
+        except PricingError:
+            return math.inf
+
+    step, hi = NumericConfig.minimizer_grid, kernel.x_hi
+    grid = [i * step for i in range(int(hi / step) + 1)]
+    if grid[-1] < hi:
+        grid.append(hi)
+    best = min((risk_at(x), x) for x in grid)
+    while step > NumericConfig.minimizer_tol / 2:
+        step /= 2
+        centre = best[1]
+        best = min([best] + [(risk_at(x), x) for x in (centre - step, centre + step) if 0 <= x <= hi])
+    return best[1], kernel.report(best[1])
+
+
+def quote_bits(search, params, contract):
+    """x* and every RiskReport field as float.hex, or the type and message of the error."""
+    try:
+        x_star, report = search(params, contract)
+    except PricingError as exc:
+        return type(exc).__name__, str(exc)
+    cuts = report.thresholds
+    values = [getattr(report, f.name) for f in fields(report) if f.name != "thresholds"]
+    values += [getattr(cuts, f.name) for f in fields(cuts)]
+    return [x_star.hex()] + [v.hex() for v in values]
+
+
+def one_loop_search(params, contract):
+    quote = minimize_writer_risk(params, contract)
+    return quote.x_star, quote.report
+
+
+class TestOneLoopScan:
+    """The scan scores its grid in one loop over writer_terms, with the bits of the tuple min."""
+
+    def test_quotes_have_the_bits_of_the_tuple_min_search(self):
+        """The quote pool of seed 1 and the low-volatility grid, whose loss probabilities
+        reach the float floor; the pool depends on perfbench/workloads.py (see digest_inputs)."""
+        markets, lowvol = digest_inputs()
+        for sigma, t, moneyness, mu, r in itertools.product(*lowvol.values()):
+            markets.append((MarketParams(spot=100.0, drift=mu, volatility=sigma, risk_free=r),
+                            OptionContract(strike=100.0 * moneyness, expiry=t)))
+        raised = 0
+        for params, contract in markets:
+            expected = quote_bits(tuple_min_search, params, contract)
+            assert quote_bits(one_loop_search, params, contract) == expected, (params, contract)
+            raised += isinstance(expected, tuple)
+        assert len(markets) == 1024 + 1440 and 0 < raised < 1440, raised
+
+    def test_an_off_grid_x_hi_is_scored_after_the_grid(self, ref_params, monkeypatch):
+        # x_hi = 0.2621 is x_max (1 - 1e-12), off the 1e-3 grid, and x* = 0.0767 is interior.
+        contract = OptionContract(strike=150.0, expiry=1.0)
+        x_hi = equilibrium._RiskKernel(ref_params, contract).x_hi
+        calls = []
+        writer_terms = equilibrium._RiskKernel.writer_terms
+
+        def counted(kernel, x):
+            calls.append(x)
+            return writer_terms(kernel, x)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", counted)
+        quote = minimize_writer_risk(ref_params, contract)
+        points = int(x_hi / 1e-3) + 1
+        assert (points, round(quote.x_star, 4)) == (263, 0.0767)
+        assert len(calls) == points + 1 + 22 + 1
+        assert calls[points - 1] < x_hi == calls[points] and calls[-1] == quote.x_star
+
+    def test_a_compass_tie_goes_to_the_smaller_x(self, ref_params, ref_contract, monkeypatch):
+        # Risk 0 on |x - 0.5| <= 3e-4 and 1 elsewhere: the scan stops at 0.5, and every
+        # compass step whose lower trial lands in the band moves x* down to it.
+        writer_terms = equilibrium._RiskKernel.writer_terms
+
+        def band(kernel, x):
+            return (*writer_terms(kernel, x)[:6], 0.0 if abs(x - 0.5) <= 3e-4 else 1.0)
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", band)
+        x_star, _ = tuple_min_search(ref_params, ref_contract)
+        assert 0.4997 <= x_star < 0.49975
+        assert minimize_writer_risk(ref_params, ref_contract).x_star == x_star
+
+    def test_a_grid_where_every_point_raises_reports_at_zero(
+        self, ref_params, ref_contract, monkeypatch
+    ):
+        calls = []
+
+        def raising(kernel, x):
+            calls.append(x)
+            raise DegenerateLoss(f"no risk at x={x}")
+
+        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", raising)
+        with pytest.raises(DegenerateLoss, match="no risk at x=0.0$"):
+            minimize_writer_risk(ref_params, ref_contract)
+        # 1,001 scan points, the 11 compass trials above 0 (those below are outside
+        # the domain), and the report at x* = 0.
+        assert len(calls) == 1001 + 11 + 1 and calls[-1] == 0.0
+
+    def test_lowest_risk_scores_a_point_without_a_risk_as_inf(self, ref_params):
+        # Strike 150: the fair price is nonpositive past x_max = 0.2621.
+        kernel = equilibrium._RiskKernel(ref_params, OptionContract(strike=150.0, expiry=1.0))
+        risks = {x: kernel.report(x).writer_risk for x in (0.05, 0.1, 0.2)}
+        assert kernel.lowest_risk([0.05, 0.2, 0.1]) == (risks[0.1], 0.1)
+        assert kernel.lowest_risk([0.5, 0.2]) == (risks[0.2], 0.2)
+        with pytest.raises(NonpositivePrice):
+            kernel.report(0.5)
+        assert kernel.risk_at(0.5) == math.inf
+        assert kernel.lowest_risk([0.5, 0.6]) == (math.inf, 0.5)
+
+
+class TestDenseScan:
+    """The quote is checked against a dense scan over the sampled domain, not assumed unimodal."""
+
+    def test_no_point_of_a_1e_4_scan_is_below_the_quote(self, ref_params, ref_contract):
+        # draw_suite(60, seed=41) holds everywhere, the worst (quoted - dense) / |dense|
+        # being -7.9e-12; the 1e-9 is that of quote_grid_consistency.
+        markets = [(ref_params, ref_contract)]
+        markets += [(params, contract) for params, contract, _ in draw_suite(60, seed=41)]
+        for params, contract in markets:
+            kernel = equilibrium._RiskKernel(params, contract)
+            hi = kernel.x_hi
+            dense = min(kernel.risk_at(i * 1e-4) for i in range(int(hi / 1e-4) + 1))
+            dense = min(dense, kernel.risk_at(hi))
+            quoted = minimize_writer_risk(params, contract).report.writer_risk
+            assert math.isfinite(dense) and quoted <= dense + 1e-9, (params, contract, quoted)
+
+
 def digest_inputs():
     """The quote pool of seed 1 as (params, contract) pairs, and the low-volatility grid's axes.
 

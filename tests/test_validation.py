@@ -482,7 +482,7 @@ def test_quadrature_details_do_not_depend_on_the_blas_thread_count():
     A BLAS dot product may split a 24,000-node sum across threads, which
     changes its last bits and so the printed relative errors; on the
     reference market the risks check's detail then differs between one and
-    two OpenBLAS threads. The shipped rule of about 2,400 nodes is too short
+    two OpenBLAS threads. The shipped rule of about 600 nodes is too short
     for OpenBLAS to split, so the script runs the checks on a 2,000-panel
     rule, where a dot product in place of np.add.reduce fails this test. A
     host with one CPU runs both processes on one thread, so there this test

@@ -14,10 +14,14 @@ the machine's speed during a pair does not always favour one side.
 
 The table has one row per (workload, seed, metric): the parent's median
 with the distance between its quartiles in brackets, the change's median
-with its change relative to the parent's, and the number of pairs in
-which the change read lower. A second table gives the failed operations
-each tree reported. Progress goes to stderr; ``--raw PATH`` also writes
-every run's final JSON line there, one JSON object per run.
+with its change relative to the parent's, the number of pairs in which
+the change read lower, and whether the row meets the claim rule: the
+change read lower in at least 9/10 of the pairs, ties counting for
+neither, and its median is below the parent's by more than the parent's
+quartile distance. Every metric perfbench reports is better lower. A
+second table gives the failed operations each tree reported. Progress
+goes to stderr; ``--raw PATH`` also writes every run's final JSON line
+there, one JSON object per run.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def spread(values: list[float]) -> tuple[float, float]:
 
 
 def table(results: dict) -> list[str]:
-    lines = ["| workload (seed, pairs) | metric | parent | change | lower |", "|---|---|---|---|---|"]
+    lines = ["| workload (seed, pairs) | metric | parent | change | lower | claim |",
+             "|---|---|---|---|---|---|"]
     for (workload, seed), runs in results.items():
         pairs = len(runs["parent"])
         for metric in runs["parent"][0]["metrics"]:
@@ -83,9 +88,10 @@ def table(results: dict) -> list[str]:
             new_median = statistics.median(new)
             relative = 100.0 * (new_median - old_median) / old_median
             lower = sum(n < o for o, n in zip(old, new))
+            claim = "yes" if 10 * lower >= 9 * pairs and old_median - new_median > old_iqr else "no"
             lines.append(
                 f"| {workload} ({seed}, {pairs}) | {metric} | {old_median:.4g} [{old_iqr:.2g}] "
-                f"| {new_median:.4g} ({relative:+.1f}%) | {lower}/{pairs} |"
+                f"| {new_median:.4g} ({relative:+.1f}%) | {lower}/{pairs} | {claim} |"
             )
     lines += ["", "| workload (seed) | tree | failed / attempted | correct |", "|---|---|---|---|"]
     for (workload, seed), runs in results.items():
