@@ -219,15 +219,28 @@ def bs_call_price(params: MarketParams, contract: OptionContract) -> float:
     return params.spot * std_normal_cdf(d_plus) - discount * contract.strike * std_normal_cdf(d_minus)
 
 
+def _grown_spot(params: MarketParams, expiry: float) -> float:
+    """S0 e^{mu T}; DegenerateMarket if it overflows, so no expected payoff is finite."""
+    grown_spot = params.spot * rate_factors(params, expiry)[0]
+    if grown_spot == math.inf:
+        raise DegenerateMarket(
+            f"S0 e^(mu T) overflows: spot = {params.spot}, drift*T = {params.drift * expiry}"
+        )
+    return grown_spot
+
+
 def expected_call_payoff_physical(params: MarketParams, contract: OptionContract) -> float:
     """Expected call payoff E[(S(T) - K)^+] under the real-world drift.
 
     Equals S0 e^{mu T} N(d+) - K N(d-) with d+- taken at the drift. This is
     an undiscounted expectation, not a price.
+
+    Raises:
+        DegenerateMarket: If S0 e^{mu T} overflows.
     """
     d_plus, d_minus = d_plus_minus(params, contract, params.drift)
-    growth = rate_factors(params, contract.expiry)[0]
-    return params.spot * growth * std_normal_cdf(d_plus) - contract.strike * std_normal_cdf(d_minus)
+    grown_spot = _grown_spot(params, contract.expiry)
+    return grown_spot * std_normal_cdf(d_plus) - contract.strike * std_normal_cdf(d_minus)
 
 
 def expected_put_payoff_physical(params: MarketParams, contract: OptionContract) -> float:
@@ -237,8 +250,8 @@ def expected_put_payoff_physical(params: MarketParams, contract: OptionContract)
     expectations satisfy call - put = S0 e^{mu T} - K (payoff parity).
     """
     d_plus, d_minus = d_plus_minus(params, contract, params.drift)
-    growth = rate_factors(params, contract.expiry)[0]
-    return contract.strike * std_normal_cdf(-d_minus) - params.spot * growth * std_normal_cdf(-d_plus)
+    grown_spot = _grown_spot(params, contract.expiry)
+    return contract.strike * std_normal_cdf(-d_minus) - grown_spot * std_normal_cdf(-d_plus)
 
 
 def _otm_price_vega(spot: float, strike_pv: float, sig_sqrt_t: float) -> tuple[float, float]:

@@ -151,13 +151,13 @@ class _RiskKernel:
     d' are fixed at construction. Construction raises DegenerateMarket
     when a growth factor leaves the float range (from rate_factors) or the
     hedge edge is zero in floating point, so x_max would divide by zero.
-    The methods evaluate one float x at a time, in one fixed operation
-    order, so the public wrappers, the minimizer and the checks give
-    identical bits. The minimizer's objective, lowest_risk over a sequence
-    and risk_at at one x, is the writer's side only, or inf where
-    writer_terms raises, so a point without a risk never wins; report adds
-    d' and the holder's risk to writer_terms, which inlines the log_args
-    formulas that thresholds and the checks call.
+    Every x is evaluated in one fixed operation order, so the public
+    wrappers, the minimizer and the checks give identical bits. The
+    writer's terms are written once, in lowest_risk's loop over a sequence
+    of x, which inlines the log_args formulas that thresholds and the
+    checks call; a point scores inf where its terms raise, so it never
+    wins. writer_terms and risk_at are its one-point case, and report adds
+    d' and the holder's risk to writer_terms.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -220,74 +220,92 @@ class _RiskKernel:
             raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
         return RiskThresholds(d1=d1, d=self.d, d2=self._cut(d2_arg), d_prime=self._d_prime(price))
 
-    def writer_terms(self, x: float) -> tuple[float, ...]:
-        """(price, d1, d2, loss_prob, partial_call, partial_stock, gamma_W): the scan objective.
+    def lowest_risk(self, xs: Iterable[float]) -> tuple[float, float, tuple | PricingError]:
+        """(risk, x, terms): the lowest writer risk over a nonempty xs in [0, 1), its first
+        x, and that x's writer terms, or the PricingError they raise.
 
-        One frame computes the price, the cut points and the four tails in the
-        operation order of fair_price, thresholds and std_normal_cdf: the same bits.
+        The one statement of the writer's terms, (price, d1, d2, loss_prob,
+        partial_call, partial_stock, gamma_W), in the operation order of
+        fair_price, thresholds and std_normal_cdf: the same bits. An x scores
+        its gamma_W, or +inf where its terms raise a PricingError. The first x
+        seeds the minimum and only a strictly lower risk replaces it, so a tie
+        keeps the earlier x, and an error is kept only when it is the seed's.
         """
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"hedge fraction must lie in [0, 1), got {x}")
-        s0, sig_sqrt_t, shift, compounding = self.spot, self.sig_sqrt_t, self.shift, self.compounding
-        price = self.discount * (self.expected_payoff - 0.5 * x * self.edge)
-        if not price > 0:
-            raise NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
-        stock_cover = x * s0 - price
-        if stock_cover <= 0:
-            d1 = -math.inf
-        else:
-            d1 = (math.log(stock_cover * compounding / (s0 * x)) + shift) / sig_sqrt_t
-        d2_arg = (self.strike + (price - x * s0) * compounding) / (s0 * (1.0 - x))
-        if d2_arg <= 0:
-            raise DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
-        d2 = (math.log(d2_arg) + shift) / sig_sqrt_t
-        # Survival probabilities are N(-z), not 1 - N(z), to keep relative
-        # precision in the tails; a -inf d1 contributes nothing. N(z) is
-        # 0.5 erfc(-z / sqrt 2), so N(-z) is 0.5 erfc(z / sqrt 2).
-        upper_tail = 0.5 * math.erfc(d2 / _SQRT2)
-        loss_prob = 0.5 * math.erfc(-d1 / _SQRT2) + upper_tail
-        if not loss_prob >= _NORMAL_MIN:
-            size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
-            raise DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
-        upper_tail_shifted = 0.5 * math.erfc((d2 - sig_sqrt_t) / _SQRT2)
-        partial_call = self.grown_spot * upper_tail_shifted - self.strike * upper_tail
-        partial_stock = self.grown_spot * (
-            0.5 * math.erfc(-(d1 - sig_sqrt_t) / _SQRT2) + upper_tail_shifted
-        )
-        gamma_w = (
-            partial_call / loss_prob
-            - x * partial_stock / loss_prob
-            + x * s0 * compounding
-            - price * compounding
-        )
-        return price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w
-
-    def lowest_risk(self, xs: Iterable[float]) -> tuple[float, float]:
-        """(risk, x): the lowest writer risk over a nonempty xs, scored in order, and its first x.
-
-        The one scoring rule: an x scores its writer risk, or +inf where
-        writer_terms raises a PricingError. The first x seeds the minimum and
-        only a strictly lower risk replaces it, so a tie keeps the earlier x.
-        """
-        writer_terms = self.writer_terms
-        best_risk, best_x = math.inf, None
+        s0, strike, edge, compounding = self.spot, self.strike, self.edge, self.compounding
+        discount, payoff, grown_spot = self.discount, self.expected_payoff, self.grown_spot
+        shift, sig_sqrt_t = self.shift, self.sig_sqrt_t
+        erfc, log, sqrt2 = math.erfc, math.log, _SQRT2
+        best_risk, best_x, best = math.inf, None, None
         for x in xs:
-            try:
-                risk = writer_terms(x)[6]
-            except PricingError:
-                risk = math.inf
-            if risk < best_risk or best_x is None:
-                best_risk, best_x = risk, x
-        return best_risk, best_x
+            price = discount * (payoff - 0.5 * x * edge)
+            if not price > 0:
+                if best is None:
+                    best_x = x
+                    best = NonpositivePrice(f"fair price at x={x} is {price}; no quote exists")
+                continue
+            cover = x * s0
+            stock_cover = cover - price
+            grown_cover = stock_cover * compounding
+            if stock_cover <= 0:
+                d1 = -math.inf
+            else:
+                d1 = (log(grown_cover / cover) + shift) / sig_sqrt_t
+            # -grown_cover is (price - x S0) e^{rT} to the bit: IEEE subtraction and
+            # negation are exact mirror images.
+            d2_arg = (strike - grown_cover) / (s0 * (1.0 - x))
+            if d2_arg <= 0:
+                if best is None:
+                    best_x = x
+                    best = DomainError(f"d2 log argument is nonpositive ({d2_arg}) at x={x}")
+                continue
+            d2 = (log(d2_arg) + shift) / sig_sqrt_t
+            # Survival probabilities are N(-z), not 1 - N(z), to keep relative
+            # precision in the tails; a -inf d1 contributes nothing. N(z) is
+            # 0.5 erfc(-z / sqrt 2), so N(-z) is 0.5 erfc(z / sqrt 2).
+            upper_tail = 0.5 * erfc(d2 / sqrt2)
+            loss_prob = 0.5 * erfc(-d1 / sqrt2) + upper_tail
+            if not loss_prob >= _NORMAL_MIN:
+                if best is None:
+                    size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
+                    best_x = x
+                    best = DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
+                continue
+            upper_tail_shifted = 0.5 * erfc((d2 - sig_sqrt_t) / sqrt2)
+            partial_call = grown_spot * upper_tail_shifted - strike * upper_tail
+            partial_stock = grown_spot * (
+                0.5 * erfc(-(d1 - sig_sqrt_t) / sqrt2) + upper_tail_shifted
+            )
+            gamma_w = (
+                partial_call / loss_prob
+                - x * partial_stock / loss_prob
+                + cover * compounding
+                - price * compounding
+            )
+            if gamma_w < best_risk or best is None:
+                best_risk, best_x = gamma_w, x
+                best = (price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w)
+        return best_risk, best_x, best
+
+    def writer_terms(self, x: float) -> tuple[float, ...]:
+        """lowest_risk's terms at x alone; raises the PricingError they raise."""
+        _check_hedge_fraction(x)
+        terms = self.lowest_risk((x,))[2]
+        if isinstance(terms, PricingError):
+            raise terms
+        return terms
 
     def risk_at(self, x: float) -> float:
         """The score of x alone: its writer risk, or +inf where it has none."""
+        _check_hedge_fraction(x)
         return self.lowest_risk((x,))[0]
 
     def report(self, x: float) -> RiskReport:
         price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = self.writer_terms(x)
         d_prime = self._d_prime(price)
         cdf_d_prime = std_normal_cdf(d_prime)
+        if not cdf_d_prime >= _NORMAL_MIN:
+            size = "zero" if cdf_d_prime == 0.0 else f"a subnormal {cdf_d_prime}"
+            raise DegenerateLoss(f"holder loss probability underflowed to {size} at x={x}")
         in_band_payoff = self.grown_spot * (
             std_normal_cdf(d_prime - self.sig_sqrt_t) - self.cdf_d_shifted
         ) - self.strike * (cdf_d_prime - self.cdf_d)
@@ -375,7 +393,8 @@ def writer_risk(params: MarketParams, contract: OptionContract, x: float) -> Ris
 
     Raises:
         NonpositivePrice: If the fair price at x is nonpositive.
-        DegenerateLoss: If the loss probability underflows to zero or a subnormal.
+        DegenerateLoss: If the writer's loss probability P or the holder's N(d')
+            underflows to zero or a subnormal.
     """
     return _RiskKernel(params, contract).report(x)
 
@@ -385,11 +404,12 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
 
     A scan with step NumericConfig.minimizer_grid covers the hedge domain
     [0, x_hi], where the fair price is positive and x <= 1 - 1e-6: one
-    lowest_risk loop in ascending x, x_hi last when it is off the grid.
-    Compass steps then try x* +- step inside it, halving the step until it
-    is at most NumericConfig.minimizer_tol / 2. Every comparison keeps the
-    lowest risk and, among equal risks, the smaller x, so x* is an evaluated
-    point; a grid where every point raises ends at x = 0, whose report raises.
+    lowest_risk call in ascending x, x_hi last when it is off the grid.
+    Compass steps then score x* +- step inside it in one ascending call,
+    halving the step until it is at most NumericConfig.minimizer_tol / 2.
+    Every comparison keeps the lowest risk and, among equal risks, the
+    smaller x, so x* is an evaluated point; a grid where every point raises
+    ends at x = 0, whose report raises.
 
     Raises:
         EmptyDomain: If the expected payoff is below the premium floor, 1e-8
@@ -404,14 +424,14 @@ def minimize_writer_risk(params: MarketParams, contract: OptionContract) -> Equi
     grid = map(step.__mul__, range(points))
     if (points - 1) * step < hi:
         grid = itertools.chain(grid, (hi,))
-    risk, x_star = kernel.lowest_risk(grid)
+    risk, x_star, _ = kernel.lowest_risk(grid)
     while step > NumericConfig.minimizer_tol / 2:
         step /= 2
-        for x in (x_star - step, x_star + step):
-            if 0 <= x <= hi:
-                trial = kernel.risk_at(x)
-                if trial < risk or trial == risk and x < x_star:
-                    risk, x_star = trial, x
+        trials = [x for x in (x_star - step, x_star + step) if 0 <= x <= hi]
+        if trials:
+            trial, x, _ = kernel.lowest_risk(trials)
+            if trial < risk or trial == risk and x < x_star:
+                risk, x_star = trial, x
     report = kernel.report(x_star)
     return EquilibriumQuote(x_star=x_star, price=report.fair_price, report=report)
 

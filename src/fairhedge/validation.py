@@ -325,10 +325,15 @@ def check_mc_agreement(
 
 
 def check_quote_grid_consistency(kernel: eq._RiskKernel, quote: eq.EquilibriumQuote) -> CheckResult:
-    """x* +- minimizer_grid in [0, x_hi] scored as the minimizer scores them: inf where no risk."""
+    """x* +- minimizer_grid in [0, x_hi] scored as the minimizer scores them: inf where no risk.
+
+    One ascending lowest_risk call scores both; the drop to the lower one is the
+    largest, because a float subtraction is monotone in what it subtracts.
+    """
     step = NumericConfig.minimizer_grid
     neighbours = [x for x in (quote.x_star - step, quote.x_star + step) if 0.0 <= x <= kernel.x_hi]
-    worst_drop = max([0.0] + [quote.report.writer_risk - kernel.risk_at(x) for x in neighbours])
+    lowest = kernel.lowest_risk(neighbours)[0] if neighbours else math.inf
+    worst_drop = max(0.0, quote.report.writer_risk - lowest)
     measured = f"x_star {quote.x_star:.6f}; neighbor improvement {worst_drop:.3e}"
     return _bounded("quote_grid_consistency", worst_drop, 1e-9, measured)
 

@@ -186,6 +186,35 @@ class TestDegenerateMarkets:
         assert result.stdout == ""
         assert result.stderr.startswith("domain error: DegenerateMarket: hedge edge")
 
+    @pytest.mark.parametrize("command", ["price", "quote", "risk-curve", "smile", "validate"])
+    def test_an_overflowing_expected_payoff_exits_3(self, command):
+        # e^(mu T) = e is finite, but S0 e^(mu T) is not; price used to print inf and nan.
+        result = run_cli(command, "--s0", "1e308", "--mu", "0.1", "--sigma", "0.2",
+                         "--r", "0.05", "--t", "10", "--strike", "90")
+        assert result.returncode == 3, result.stderr
+        assert "nan" not in result.stdout and "inf" not in result.stdout
+        assert result.stderr.startswith("domain error: DegenerateMarket: S0 e^(mu T) overflows")
+
+
+class TestHolderLossUnderflow:
+    # N(d') underflows to zero at every hedge fraction: sigma sqrt(T) is 1e-21.
+    MARKET = ["--s0", "100", "--mu", "0.051", "--sigma", "1e-20", "--r", "0.05", "--t", "0.01"]
+    MESSAGE = "DegenerateLoss: holder loss probability underflowed to zero at x=0.0"
+
+    def test_quote_exits_3(self):
+        result = run_cli("quote", *self.MARKET, "--strike", "1")
+        assert result.returncode == 3, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == f"domain error: {self.MESSAGE}\n"
+
+    def test_smile_reports_each_strike_as_an_error_row(self):
+        result = run_cli("smile", *self.MARKET, "--strikes", "1,100")
+        assert result.returncode == 0, result.stderr
+        _, rows = csv_rows(result.stdout)
+        assert [(row["strike"], row["error"]) for row in rows] == [
+            ("1", self.MESSAGE), ("100", self.MESSAGE)
+        ]
+
 
 class TestRiskCurveCommand:
     def test_grid_has_100_rows_and_argmin_near_072(self):

@@ -295,6 +295,14 @@ class TestPhysicalExpectations:
                 put_oracle, rel=1e-8, abs=1e-10
             )
 
+    def test_an_overflowing_grown_spot_is_a_domain_error(self):
+        # e^(mu T) = e is finite; S0 e^(mu T) is not, so no expected payoff is.
+        params = MarketParams(spot=1e308, drift=0.1, volatility=0.2, risk_free=0.05)
+        contract = OptionContract(strike=90.0, expiry=10.0)
+        for compute in (expected_call_payoff_physical, expected_put_payoff_physical):
+            with pytest.raises(DegenerateMarket, match=r"S0 e\^\(mu T\) overflows"):
+                compute(params, contract)
+
 
 class TestImpliedVol:
     def test_reference_round_trip(self, ref_params, ref_contract):

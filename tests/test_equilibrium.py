@@ -324,6 +324,17 @@ class TestWriterRisk:
         with pytest.raises(DegenerateLoss, match="underflowed to zero at x=0.0"):
             writer_risk(params, contract, 0.0)
 
+    def test_underflowed_holder_loss_probability_raises(self):
+        # At sigma sqrt(T) = 1e-21, d' is about -4,554 and N(d') underflows to 0,
+        # while the writer's loss probability is 1.
+        params = MarketParams(spot=100.0, drift=0.051, volatility=1e-20, risk_free=0.05)
+        contract = OptionContract(strike=1.0, expiry=0.01)
+        kernel = equilibrium._RiskKernel(params, contract)
+        assert kernel.writer_terms(0.0)[3] == 1.0
+        message = "^holder loss probability underflowed to zero at x=0.0$"
+        with pytest.raises(DegenerateLoss, match=message):
+            writer_risk(params, contract, 0.0)
+
 
 def exact_risks(params, contract, x):
     """(price, loss_prob, gamma_W, gamma_H) of the writer_risk docstring's closed forms,
@@ -517,57 +528,80 @@ class TestCompassRefinement:
         self, ref_params, ref_contract, monkeypatch
     ):
         # 1,001 scan points (1e-3 grid plus x_hi), 2 per halving level for 11 levels, 1 report.
-        calls = []
-        writer_terms = equilibrium._RiskKernel.writer_terms
-
-        def counted(kernel, x):
-            calls.append(x)
-            return writer_terms(kernel, x)
-
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", counted)
+        calls = count_points(monkeypatch)
         minimize_writer_risk(ref_params, ref_contract)
         assert len(calls) == 1024
 
     def test_a_flat_risk_is_quoted_at_zero(self, ref_params, ref_contract, monkeypatch):
-        writer_terms = equilibrium._RiskKernel.writer_terms
-
-        def flat(kernel, x):
-            return (*writer_terms(kernel, x)[:6], 1.0)
-
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", flat)
+        inject(monkeypatch, lambda x, terms: (*terms[:6], 1.0))
         assert minimize_writer_risk(ref_params, ref_contract).x_star == 0.0
 
     def test_a_pricing_error_is_never_quoted(self, ref_params, ref_contract, monkeypatch):
         # The unpatched quote is x* = 0.7212; a raising band around it counts as infinite risk.
-        writer_terms = equilibrium._RiskKernel.writer_terms
+        def failing_band(x, terms):
+            return DegenerateLoss(f"band at x={x}") if 0.70 <= x <= 0.74 else terms
 
-        def failing_band(kernel, x):
-            if 0.70 <= x <= 0.74:
-                raise DegenerateLoss(f"band at x={x}")
-            return writer_terms(kernel, x)
-
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", failing_band)
+        inject(monkeypatch, failing_band)
         quote = minimize_writer_risk(ref_params, ref_contract)
         assert not 0.70 <= quote.x_star <= 0.74
         assert math.isfinite(quote.report.writer_risk)
 
 
+def count_points(monkeypatch):
+    """Every x that lowest_risk is given, in order; the real loop still scores them."""
+    calls = []
+    lowest_risk = equilibrium._RiskKernel.lowest_risk
 
-def tuple_min_search(params, contract):
+    def counted(kernel, xs):
+        xs = list(xs)
+        calls.extend(xs)
+        return lowest_risk(kernel, xs)
+
+    monkeypatch.setattr(equilibrium._RiskKernel, "lowest_risk", counted)
+    return calls
+
+
+def inject(monkeypatch, terms_at):
+    """Stand in for lowest_risk, so that x has the terms terms_at(x, its real terms) gives.
+
+    Its real terms are a 7-tuple or the PricingError they raise, and so may
+    terms_at's be. The stand-in keeps the loop's rule: x scores the last term,
+    or inf for an error; the first x seeds the minimum and only a strictly
+    lower risk replaces it.
+    """
+    lowest_risk = equilibrium._RiskKernel.lowest_risk
+
+    def stand_in(kernel, xs):
+        best_risk, best_x, best = math.inf, None, None
+        for x in xs:
+            terms = terms_at(x, lowest_risk(kernel, (x,))[2])
+            risk = math.inf if isinstance(terms, PricingError) else terms[6]
+            if risk < best_risk or best is None:
+                best_risk, best_x, best = risk, x, terms
+        return best_risk, best_x, best
+
+    monkeypatch.setattr(equilibrium._RiskKernel, "lowest_risk", stand_in)
+
+
+def tuple_min_search(params, contract, terms_at=None):
     """The minimizer's search as it ran before one loop scored the grid: (x*, report).
 
     A min over (risk, x) pairs of the whole grid list, then compass steps that
     each take the min of [best] and the in-domain pairs at x* - step and x* + step,
-    so ties go to the smaller x. A point scores inf where writer_terms raises.
+    so ties go to the smaller x. A point scores the gamma_W of source_writer_terms,
+    or inf where they raise; terms_at, as in inject, replaces them first.
     """
     kernel = equilibrium._RiskKernel(params, contract)
     kernel.require_quotable()
 
     def risk_at(x):
         try:
-            return kernel.writer_terms(x)[6]
-        except PricingError:
-            return math.inf
+            terms = source_writer_terms(kernel, x)
+        except PricingError as exc:
+            terms = exc
+        if terms_at is not None:
+            terms = terms_at(x, terms)
+        return math.inf if isinstance(terms, PricingError) else terms[6]
 
     step, hi = NumericConfig.minimizer_grid, kernel.x_hi
     grid = [i * step for i in range(int(hi / step) + 1)]
@@ -599,7 +633,7 @@ def one_loop_search(params, contract):
 
 
 class TestOneLoopScan:
-    """The scan scores its grid in one loop over writer_terms, with the bits of the tuple min."""
+    """The scan scores its grid in lowest_risk's one loop, with the bits of the tuple min."""
 
     def test_quotes_have_the_bits_of_the_tuple_min_search(self):
         """The quote pool of seed 1 and the low-volatility grid, whose loss probabilities
@@ -619,14 +653,7 @@ class TestOneLoopScan:
         # x_hi = 0.2621 is x_max (1 - 1e-12), off the 1e-3 grid, and x* = 0.0767 is interior.
         contract = OptionContract(strike=150.0, expiry=1.0)
         x_hi = equilibrium._RiskKernel(ref_params, contract).x_hi
-        calls = []
-        writer_terms = equilibrium._RiskKernel.writer_terms
-
-        def counted(kernel, x):
-            calls.append(x)
-            return writer_terms(kernel, x)
-
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", counted)
+        calls = count_points(monkeypatch)
         quote = minimize_writer_risk(ref_params, contract)
         points = int(x_hi / 1e-3) + 1
         assert (points, round(quote.x_star, 4)) == (263, 0.0767)
@@ -636,14 +663,12 @@ class TestOneLoopScan:
     def test_a_compass_tie_goes_to_the_smaller_x(self, ref_params, ref_contract, monkeypatch):
         # Risk 0 on |x - 0.5| <= 3e-4 and 1 elsewhere: the scan stops at 0.5, and every
         # compass step whose lower trial lands in the band moves x* down to it.
-        writer_terms = equilibrium._RiskKernel.writer_terms
+        def band(x, terms):
+            return (*terms[:6], 0.0 if abs(x - 0.5) <= 3e-4 else 1.0)
 
-        def band(kernel, x):
-            return (*writer_terms(kernel, x)[:6], 0.0 if abs(x - 0.5) <= 3e-4 else 1.0)
-
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", band)
-        x_star, _ = tuple_min_search(ref_params, ref_contract)
+        x_star, _ = tuple_min_search(ref_params, ref_contract, band)
         assert 0.4997 <= x_star < 0.49975
+        inject(monkeypatch, band)
         assert minimize_writer_risk(ref_params, ref_contract).x_star == x_star
 
     def test_a_grid_where_every_point_raises_reports_at_zero(
@@ -651,11 +676,11 @@ class TestOneLoopScan:
     ):
         calls = []
 
-        def raising(kernel, x):
+        def raising(x, terms):
             calls.append(x)
-            raise DegenerateLoss(f"no risk at x={x}")
+            return DegenerateLoss(f"no risk at x={x}")
 
-        monkeypatch.setattr(equilibrium._RiskKernel, "writer_terms", raising)
+        inject(monkeypatch, raising)
         with pytest.raises(DegenerateLoss, match="no risk at x=0.0$"):
             minimize_writer_risk(ref_params, ref_contract)
         # 1,001 scan points, the 11 compass trials above 0 (those below are outside
@@ -666,12 +691,26 @@ class TestOneLoopScan:
         # Strike 150: the fair price is nonpositive past x_max = 0.2621.
         kernel = equilibrium._RiskKernel(ref_params, OptionContract(strike=150.0, expiry=1.0))
         risks = {x: kernel.report(x).writer_risk for x in (0.05, 0.1, 0.2)}
-        assert kernel.lowest_risk([0.05, 0.2, 0.1]) == (risks[0.1], 0.1)
-        assert kernel.lowest_risk([0.5, 0.2]) == (risks[0.2], 0.2)
-        with pytest.raises(NonpositivePrice):
+        risk, x, terms = kernel.lowest_risk([0.05, 0.2, 0.1])
+        assert (risk, x, terms) == (risks[0.1], 0.1, kernel.writer_terms(0.1))
+        assert kernel.lowest_risk([0.5, 0.2])[:2] == (risks[0.2], 0.2)
+        with pytest.raises(NonpositivePrice) as caught:
             kernel.report(0.5)
         assert kernel.risk_at(0.5) == math.inf
-        assert kernel.lowest_risk([0.5, 0.6]) == (math.inf, 0.5)
+        # The seed's error is kept, so the one-point case raises it.
+        risk, x, error = kernel.lowest_risk([0.5, 0.6])
+        assert (risk, x, type(error), str(error)) == (
+            math.inf, 0.5, NonpositivePrice, str(caught.value)
+        )
+
+
+    def test_a_tie_in_lowest_risk_keeps_the_earlier_x(self, ref_params, ref_contract):
+        # 0.0 and -0.0 are one hedge fraction with bit-equal terms, so their risks tie; the
+        # sign of the x returned says which was kept. inject's stand-in has its own rule.
+        kernel = equilibrium._RiskKernel(ref_params, ref_contract)
+        for xs in ([0.0, -0.0], [-0.0, 0.0]):
+            _, x, _ = kernel.lowest_risk(xs)
+            assert math.copysign(1.0, x) == math.copysign(1.0, xs[0])
 
 
 class TestDenseScan:

@@ -108,7 +108,9 @@ def drive_profits(monkeypatch, value, quote):
 
 def drive_neighbor(monkeypatch, value, quote):
     best = quote.report.writer_risk
-    monkeypatch.setattr(eq._RiskKernel, "risk_at", lambda kernel, x: best - value)
+    monkeypatch.setattr(
+        eq._RiskKernel, "lowest_risk", lambda kernel, xs: (best - value, xs[0], None)
+    )
 
 
 # Each check by name: the check, its patch, its tolerance and the detail a value gives.

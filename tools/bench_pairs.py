@@ -19,7 +19,10 @@ the change read lower, and whether the row meets the claim rule: the
 change read lower in at least 9/10 of the pairs, ties counting for
 neither, and its median is below the parent's by more than the parent's
 quartile distance. Every metric perfbench reports is better lower. A
-second table gives the failed operations each tree reported. Progress
+second table gives the failed operations each tree reported and the
+median of its runs' request counts, read from each run's ``details:``
+line: perfbench holds every output until a run ends, so a tree that
+serves more requests reads a higher ``peak_rss_mb``. Progress
 goes to stderr; ``--raw PATH`` also writes every run's final JSON line
 there, one JSON object per run.
 """
@@ -61,13 +64,21 @@ def parse_spec(spec: str, parser: argparse.ArgumentParser) -> tuple[str, int, in
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """The final JSON line of one perfbench run in checkout."""
+    """The result of one perfbench run in checkout (see parse_run)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout)
+
+
+def parse_run(stdout: str) -> dict:
+    """A run's final JSON line, with the request count of its ``details:`` line as ``requests``."""
+    lines = stdout.strip().splitlines()
+    details = next(line for line in lines if line.startswith("details:"))
+    requests = json.loads(details.removeprefix("details:"))["requests"]
+    return {**json.loads(lines[-1]), "requests": requests}
 
 
 def spread(values: list[float]) -> tuple[float, float]:
@@ -93,12 +104,15 @@ def table(results: dict) -> list[str]:
                 f"| {workload} ({seed}, {pairs}) | {metric} | {old_median:.4g} [{old_iqr:.2g}] "
                 f"| {new_median:.4g} ({relative:+.1f}%) | {lower}/{pairs} | {claim} |"
             )
-    lines += ["", "| workload (seed) | tree | failed / attempted | correct |", "|---|---|---|---|"]
+    lines += ["", "| workload (seed) | tree | failed / attempted | correct | requests |",
+              "|---|---|---|---|---|"]
     for (workload, seed), runs in results.items():
         for tree in TREES:
             counts = sorted({f"{r['failed']} / {r['attempted']}" for r in runs[tree]})
             correct = all(r["correct"] for r in runs[tree])
-            lines.append(f"| {workload} ({seed}) | {tree} | {', '.join(counts)} | {correct} |")
+            requests = statistics.median(r["requests"] for r in runs[tree])
+            lines.append(f"| {workload} ({seed}) | {tree} | {', '.join(counts)} | {correct} "
+                         f"| {requests:.0f} |")
     return lines
 
 
