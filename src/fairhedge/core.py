@@ -307,11 +307,15 @@ def _implied_vol_otm(params: MarketParams, contract: OptionContract, otm_price: 
             f"the bracket {NumericConfig.vol_bracket}"
         )
     # Corrado-Miller in out-of-the-money terms; the square root is dropped
-    # where its argument is negative (deep out of the money).
-    moneyness = abs(spot - strike_pv)
-    half = otm_price + 0.5 * moneyness
+    # where its argument is negative (deep out of the money). The prices are
+    # taken in units of a power of two near the larger of spot and strike, so
+    # the squares cannot overflow, and the scale is exact, so it keeps the bits.
+    unit = math.ldexp(1.0, -math.frexp(max(spot, strike_pv))[1])
+    scaled_spot, scaled_strike = spot * unit, strike_pv * unit
+    moneyness = abs(scaled_spot - scaled_strike)
+    half = otm_price * unit + 0.5 * moneyness
     root = math.sqrt(max(half * half - moneyness * moneyness / math.pi, 0.0))
-    guess = _SQRT_2PI * (half + root) / ((spot + strike_pv) * sqrt_t)
+    guess = _SQRT_2PI * (half + root) / ((scaled_spot + scaled_strike) * sqrt_t)
     sigma = min(max(guess, lo), hi)
     log_target, last_step = math.log(otm_price), hi - lo
     # Newton steps shrink at least geometrically and each bisection halves

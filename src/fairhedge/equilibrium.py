@@ -156,8 +156,8 @@ class _RiskKernel:
     writer's terms are written once, in lowest_risk's loop over a sequence
     of x, which inlines the log_args formulas that thresholds and the
     checks call; a point scores inf where its terms raise, so it never
-    wins. writer_terms and risk_at are its one-point case, and report adds
-    d' and the holder's risk to writer_terms.
+    wins. There are two ways in: lowest_risk(xs) returns scores, and
+    report(x), its one-point case, returns x's RiskReport.
     """
 
     def __init__(self, params: MarketParams, contract: OptionContract) -> None:
@@ -230,6 +230,7 @@ class _RiskKernel:
         its gamma_W, or +inf where its terms raise a PricingError. The first x
         seeds the minimum and only a strictly lower risk replaces it, so a tie
         keeps the earlier x, and an error is kept only when it is the seed's.
+        This returns scores; report(x), the other way in, returns one x's record.
         """
         s0, strike, edge, compounding = self.spot, self.strike, self.edge, self.compounding
         discount, payoff, grown_spot = self.discount, self.expected_payoff, self.grown_spot
@@ -286,21 +287,12 @@ class _RiskKernel:
                 best = (price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w)
         return best_risk, best_x, best
 
-    def writer_terms(self, x: float) -> tuple[float, ...]:
-        """lowest_risk's terms at x alone; raises the PricingError they raise."""
+    def report(self, x: float) -> RiskReport:
         _check_hedge_fraction(x)
         terms = self.lowest_risk((x,))[2]
         if isinstance(terms, PricingError):
             raise terms
-        return terms
-
-    def risk_at(self, x: float) -> float:
-        """The score of x alone: its writer risk, or +inf where it has none."""
-        _check_hedge_fraction(x)
-        return self.lowest_risk((x,))[0]
-
-    def report(self, x: float) -> RiskReport:
-        price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = self.writer_terms(x)
+        price, d1, d2, loss_prob, partial_call, partial_stock, gamma_w = terms
         d_prime = self._d_prime(price)
         cdf_d_prime = std_normal_cdf(d_prime)
         if not cdf_d_prime >= _NORMAL_MIN:

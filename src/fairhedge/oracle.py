@@ -102,9 +102,7 @@ def terminal_chunks(params: MarketParams, expiry: float, cfg: McConfig) -> Itera
             yield terminal_price(params, expiry, block, params.drift, out=block)
 
 
-def simulate_terminal(
-    params: MarketParams, expiry: float, cfg: McConfig | None = None
-) -> np.ndarray:
+def simulate_terminal(params: MarketParams, expiry: float, cfg: McConfig) -> np.ndarray:
     """Sample terminal stock prices S(T) under the real-world drift.
 
     Each block of terminal_chunks is copied into its slice of the output.
@@ -112,7 +110,6 @@ def simulate_terminal(
     Returns:
         Array of cfg.paths terminal prices, deterministic for a fixed config.
     """
-    cfg = cfg or McConfig()
     out = np.empty(cfg.paths)
     for start, block in zip(range(0, cfg.paths, _BLOCK), terminal_chunks(params, expiry, cfg)):
         out[start : start + block.size] = block
@@ -186,7 +183,7 @@ class RunningMoments:
 
 
 def mc_conditional_loss(
-    params: MarketParams, contract: OptionContract, x: float, price: float, cfg: McConfig | None = None
+    params: MarketParams, contract: OptionContract, x: float, price: float, cfg: McConfig
 ) -> tuple[McEstimate, McEstimate, McEstimate]:
     """Monte Carlo E[C(T)] and each party's expected loss given a loss, in one streamed pass.
 
@@ -198,7 +195,6 @@ def mc_conditional_loss(
     counts the paths where it is positive, its std_error is inf below two,
     and its mean is nan at zero.
     """
-    cfg = cfg or McConfig()
     payoff, writer, holder = RunningMoments(), RunningMoments(), RunningMoments()
     losses = np.empty((3, min(_BLOCK, cfg.paths)))
     for block in terminal_chunks(params, contract.expiry, cfg):
@@ -227,7 +223,7 @@ _Z_WINDOW = (-10.0, 10.0)
 _PANELS = 50
 
 
-def quad_rule(breakpoints: Sequence[float] = ()) -> tuple[np.ndarray, np.ndarray]:
+def quad_rule(breakpoints: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss-Legendre rule for E[f(Z)], Z ~ N(0,1).
 
     The window _Z_WINDOW is cut at every finite breakpoint and each piece

@@ -324,6 +324,22 @@ class TestSmileCommand:
         assert row[-1].startswith("PriceOutOfBounds: price 111.678")
         assert row[-1] == json.loads(run_cli("smile", *args, "--format", "json").stdout)[0]["error"]
 
+    def test_a_huge_market_has_a_finite_implied_vol(self):
+        # The implied vol's start squares prices; without its power-of-two units, the
+        # squares overflow past about 1e154 and these rows print nan with no error.
+        market = ["--mu", "0.1", "--sigma", "0.2", "--r", "0.05"]
+        result = run_cli("smile", "--s0", "1e200", *market, "--t", "1", "--strikes", "1e200")
+        assert result.returncode == 0, result.stderr
+        assert "nan" not in result.stdout
+        _, row = list(csv.reader(result.stdout.splitlines()))
+        assert row[-2] == "0.243792"  # implied_vol, as at S0 = K = 100
+        result = run_cli("smile", "--s0", "1e308", *market, "--t", "0.5", "--strikes", "90,1e308")
+        assert result.returncode == 0, result.stderr
+        _, low, high = list(csv.reader(result.stdout.splitlines()))
+        # Strike 90 quotes a premium above spot: an error row, its nan cells the marker.
+        assert low[-1].startswith("PriceOutOfBounds: ")
+        assert "nan" not in high and high[-1] == "" and high[-2] == "0.22755"
+
     def test_json_carries_error_field(self):
         result = run_cli("smile", "--s0", "100", "--mu", "0.10", "--sigma", "0.2",
                          "--r", "0.05", "--t", "0.1", "--strikes", "100,1e6",

@@ -343,6 +343,13 @@ class TestImpliedVol:
         recovered = implied_vol(trial, ref_contract, bs_call_price(trial, ref_contract))
         assert abs(recovered - sigma) <= 1e-6
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-300])
+    def test_round_trip_at_an_extreme_price_scale(self, ref_params, scale):
+        # Corrado-Miller's start squares prices; past about 1e154 the squares overflowed to nan.
+        params = replace(ref_params, spot=scale)
+        contract = OptionContract(strike=scale, expiry=1.0)
+        assert abs(implied_vol(params, contract, bs_call_price(params, contract)) - 0.2) <= 1e-12
+
     def test_round_trip_away_from_the_money(self, ref_params):
         for strike in (70.0, 130.0):
             contract = OptionContract(strike=strike, expiry=0.5)

@@ -330,7 +330,7 @@ class TestWriterRisk:
         params = MarketParams(spot=100.0, drift=0.051, volatility=1e-20, risk_free=0.05)
         contract = OptionContract(strike=1.0, expiry=0.01)
         kernel = equilibrium._RiskKernel(params, contract)
-        assert kernel.writer_terms(0.0)[3] == 1.0
+        assert kernel.lowest_risk((0.0,))[2][3] == 1.0
         message = "^holder loss probability underflowed to zero at x=0.0$"
         with pytest.raises(DegenerateLoss, match=message):
             writer_risk(params, contract, 0.0)
@@ -519,10 +519,9 @@ class TestCompassRefinement:
             kernel = equilibrium._RiskKernel(params, contract)
             hi = kernel.x_hi
             grid = [i * step for i in range(int(hi / step) + 1)] + [hi]
-            assert quote.report.writer_risk <= min(kernel.risk_at(x) for x in grid)
-            for x in (quote.x_star - self.LAST_STEP, quote.x_star + self.LAST_STEP):
-                if 0.0 <= x <= hi:
-                    assert quote.report.writer_risk <= kernel.risk_at(x), (params, contract)
+            neighbours = (quote.x_star - self.LAST_STEP, quote.x_star + self.LAST_STEP)
+            grid += [x for x in neighbours if 0.0 <= x <= hi]
+            assert quote.report.writer_risk <= kernel.lowest_risk(grid)[0], (params, contract)
 
     def test_reference_quote_evaluates_the_writer_terms_1024_times(
         self, ref_params, ref_contract, monkeypatch
@@ -692,11 +691,11 @@ class TestOneLoopScan:
         kernel = equilibrium._RiskKernel(ref_params, OptionContract(strike=150.0, expiry=1.0))
         risks = {x: kernel.report(x).writer_risk for x in (0.05, 0.1, 0.2)}
         risk, x, terms = kernel.lowest_risk([0.05, 0.2, 0.1])
-        assert (risk, x, terms) == (risks[0.1], 0.1, kernel.writer_terms(0.1))
+        assert (risk, x, terms) == (risks[0.1], 0.1, kernel.lowest_risk((0.1,))[2])
         assert kernel.lowest_risk([0.5, 0.2])[:2] == (risks[0.2], 0.2)
         with pytest.raises(NonpositivePrice) as caught:
             kernel.report(0.5)
-        assert kernel.risk_at(0.5) == math.inf
+        assert kernel.lowest_risk((0.5,))[0] == math.inf
         # The seed's error is kept, so the one-point case raises it.
         risk, x, error = kernel.lowest_risk([0.5, 0.6])
         assert (risk, x, type(error), str(error)) == (
@@ -724,8 +723,7 @@ class TestDenseScan:
         for params, contract in markets:
             kernel = equilibrium._RiskKernel(params, contract)
             hi = kernel.x_hi
-            dense = min(kernel.risk_at(i * 1e-4) for i in range(int(hi / 1e-4) + 1))
-            dense = min(dense, kernel.risk_at(hi))
+            dense = kernel.lowest_risk([i * 1e-4 for i in range(int(hi / 1e-4) + 1)] + [hi])[0]
             quoted = minimize_writer_risk(params, contract).report.writer_risk
             assert math.isfinite(dense) and quoted <= dense + 1e-9, (params, contract, quoted)
 
@@ -755,8 +753,8 @@ def digest_inputs():
 
 
 def source_writer_terms(kernel, x):
-    """writer_terms rebuilt from the statements its frame copies: fair_price, thresholds
-    and std_normal_cdf, in writer_terms' own order of the remaining operations."""
+    """lowest_risk's terms at x, rebuilt from the statements its loop copies: fair_price,
+    thresholds and std_normal_cdf, in the loop's own order of the remaining operations."""
     price = kernel.fair_price(x)
     cuts = kernel.thresholds(x, price)
     d1, d2, s = cuts.d1, cuts.d2, kernel.sig_sqrt_t
@@ -776,33 +774,28 @@ def source_writer_terms(kernel, x):
 
 
 class TestScanObjective:
-    def test_writer_terms_are_the_reports_bits_or_its_error(self):
-        """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included: risk_at
-        is the report's writer risk, or inf where the report raises."""
+    def test_a_point_scores_inf_exactly_where_the_report_raises(self):
+        """The scan's objective over the 1e-3 grid to the hedge cap, past x_hi included: a
+        point scores the report's writer risk, or inf, keeping the error, where it raises."""
         compared = raised = 0
         for params, contract, _ in draw_suite(24, seed=31):
             kernel = equilibrium._RiskKernel(params, contract)
             for i in range(int(equilibrium.MAX_HEDGE_FRACTION / 1e-3) + 1):
                 x = i * 1e-3
+                risk, _, terms = kernel.lowest_risk((x,))
                 try:
                     report = writer_risk(params, contract, x)
                 except PricingError as exc:
-                    with pytest.raises(type(exc)):
-                        kernel.writer_terms(x)
-                    assert kernel.risk_at(x) == math.inf
+                    assert risk == math.inf and type(terms) is type(exc), (params, contract, x)
                     raised += 1
                     continue
-                th = report.thresholds
-                expected = (report.fair_price, th.d1, th.d2, report.loss_prob,
-                            report.partial_call, report.partial_stock, report.writer_risk)
-                assert [v.hex() for v in kernel.writer_terms(x)] == [v.hex() for v in expected]
-                assert kernel.risk_at(x).hex() == report.writer_risk.hex()
+                assert risk.hex() == report.writer_risk.hex(), (params, contract, x)
                 compared += 1
         assert compared > 10_000 and raised > 1_000
 
-    def test_writer_terms_keep_the_bits_of_fair_price_thresholds_and_the_cdf(self):
-        """writer_terms computes in one frame what fair_price, thresholds and std_normal_cdf
-        state; every output is theirs as float.hex, or both raise the same PricingError.
+    def test_the_loops_terms_keep_the_bits_of_fair_price_thresholds_and_the_cdf(self):
+        """lowest_risk's loop computes what fair_price, thresholds and std_normal_cdf state;
+        a point's terms are theirs as float.hex, or the same PricingError that they raise.
 
         Markets: the 1,024 of the quote pool of seed 1 and every third market of
         the low-volatility grid, whose loss probabilities reach the float floor;
@@ -823,15 +816,13 @@ class TestScanObjective:
             if kernel.below_premium_floor:  # never scanned; its x_hi can be below 0
                 continue
             for x in [i * 1e-3 for i in range(index % 8, last + 1, 8)] + [kernel.x_hi]:
+                got = kernel.lowest_risk((x,))[2]
                 try:
                     expected = source_writer_terms(kernel, x)
                 except PricingError as exc:
-                    with pytest.raises(PricingError) as caught:
-                        kernel.writer_terms(x)
-                    assert type(caught.value) is type(exc), (params, contract, x)
+                    assert type(got) is type(exc), (params, contract, x)
                     raised.add(type(exc))
                     continue
-                got = kernel.writer_terms(x)
                 assert [v.hex() for v in got] == [v.hex() for v in expected], (params, contract, x)
                 compared += 1
         assert compared > 150_000, compared
@@ -908,6 +899,22 @@ class TestVolatilitySmile:
         assert point.price == quote.price
         assert point.x_star == quote.x_star
         assert point.implied_vol == implied_vol(ref_params, ref_contract, quote.price)
+
+    @pytest.mark.parametrize("k", [-900, -200, 200, 660, 900])
+    def test_a_power_of_two_scale_of_spot_and_strikes_scales_the_smile(self, ref_params, k):
+        # A power-of-two scale is exact, so every price scales to the bit. Without its
+        # start in power-of-two units, the implied vol is nan at k = 660 and 900.
+        scale = 2.0**k
+        points = volatility_smile(ref_params, self.STRIKES, 1.0)
+        scaled = volatility_smile(
+            replace(ref_params, spot=ref_params.spot * scale), [s * scale for s in self.STRIKES], 1.0
+        )
+        for point, other in zip(points, scaled):
+            assert other.x_star.hex() == point.x_star.hex() and other.error is None
+            for name in ("price", "writer_risk", "holder_risk"):
+                assert getattr(other, name) == getattr(point, name) * scale, (k, name)
+            assert other.loss_prob.hex() == point.loss_prob.hex()
+            assert abs(other.implied_vol - point.implied_vol) <= 1e-13
 
     def test_input_order_preserved(self, ref_params):
         shuffled = [105.0, 90.0, 115.0]

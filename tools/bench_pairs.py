@@ -14,16 +14,21 @@ the machine's speed during a pair does not always favour one side.
 
 The table has one row per (workload, seed, metric): the parent's median
 with the distance between its quartiles in brackets, the change's median
-with its change relative to the parent's, the number of pairs in which
-the change read lower, and whether the row meets the claim rule: the
-change read lower in at least 9/10 of the pairs, ties counting for
-neither, and its median is below the parent's by more than the parent's
-quartile distance. Every metric perfbench reports is better lower. A
+with its change relative to the parent's, the row's mark against the
+bound that the change checkout's BENCHMARK.json fixes for the metric,
+the number of pairs in which the change read lower, and whether the row
+meets the claim rule: the change read lower in at least 9/10 of the
+pairs, ties counting for neither, and its median is below the parent's
+by more than the parent's quartile distance. Every metric perfbench
+reports is better lower. The mark is ``ok`` when the change's median is
+at most the parent's times (1 + bound), ``over`` when it is above that,
+and ``unresolved`` when the parent's quartile distance exceeds bound
+times its median, unless every change run read below every parent run. A
 second table gives the failed operations each tree reported and the
 median of its runs' request counts, read from each run's ``details:``
 line: perfbench holds every output until a run ends, so a tree that
-serves more requests reads a higher ``peak_rss_mb``. Progress
-goes to stderr; ``--raw PATH`` also writes every run's final JSON line
+serves more requests reads a higher ``peak_rss_mb``. Progress goes to
+stderr; ``--raw PATH`` also writes every run's final JSON line
 there, one JSON object per run.
 """
 
@@ -87,9 +92,23 @@ def spread(values: list[float]) -> tuple[float, float]:
     return median, q3 - q1
 
 
-def table(results: dict) -> list[str]:
-    lines = ["| workload (seed, pairs) | metric | parent | change | lower | claim |",
-             "|---|---|---|---|---|---|"]
+def read_bounds(checkout: Path) -> dict[str, float]:
+    """The bound of each end-to-end metric in checkout's BENCHMARK.json."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+
+
+def bound_mark(old: list[float], new: list[float], bound: float) -> str:
+    """ok, over or unresolved: the change's runs new against the parent's runs old."""
+    old_median, old_iqr = spread(old)
+    if old_iqr > bound * old_median and not max(new) < min(old):
+        return "unresolved"
+    return "ok" if statistics.median(new) <= old_median * (1 + bound) else "over"
+
+
+def table(results: dict, bounds: dict[str, float]) -> list[str]:
+    lines = ["| workload (seed, pairs) | metric | parent | change | bound | lower | claim |",
+             "|---|---|---|---|---|---|---|"]
     for (workload, seed), runs in results.items():
         pairs = len(runs["parent"])
         for metric in runs["parent"][0]["metrics"]:
@@ -100,9 +119,10 @@ def table(results: dict) -> list[str]:
             relative = 100.0 * (new_median - old_median) / old_median
             lower = sum(n < o for o, n in zip(old, new))
             claim = "yes" if 10 * lower >= 9 * pairs and old_median - new_median > old_iqr else "no"
+            mark = bound_mark(old, new, bounds[metric])
             lines.append(
                 f"| {workload} ({seed}, {pairs}) | {metric} | {old_median:.4g} [{old_iqr:.2g}] "
-                f"| {new_median:.4g} ({relative:+.1f}%) | {lower}/{pairs} | {claim} |"
+                f"| {new_median:.4g} ({relative:+.1f}%) | {mark} | {lower}/{pairs} | {claim} |"
             )
     lines += ["", "| workload (seed) | tree | failed / attempted | correct | requests |",
               "|---|---|---|---|---|"]
@@ -119,6 +139,7 @@ def table(results: dict) -> list[str]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = read_bounds(checkouts["change"])
     for checkout in checkouts.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
     results = {}
@@ -134,7 +155,7 @@ def main(argv=None) -> int:
                         print(json.dumps({"workload": workload, "seed": seed, "pair": pair,
                                           "tree": tree, **result}), file=raw, flush=True)
                 print(f"{workload} seed {seed}: pair {pair + 1}/{pairs} done", file=sys.stderr)
-    print("\n".join(table(results)))
+    print("\n".join(table(results, bounds)))
     return 0
 
 
