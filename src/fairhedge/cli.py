@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -180,6 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
+        import json  # only a config file, JSON output and validate need json
+
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -227,6 +228,8 @@ def _render(rows: dict | list[dict], header: list[str], fmt: str) -> str:
         table = [header] + [[_csv_cell(row.get(col)) for col in header] for row in rows]
         csv.writer(out, lineterminator="\n").writerows(table)
         return out.getvalue()
+    import json
+
     payload = [{k: _json_cell(row.get(k)) for k in header} for row in rows]
     return json.dumps(payload[0] if single else payload, indent=2) + "\n"
 
@@ -321,6 +324,8 @@ def cmd_smile(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    import json
+
     from .validation import run_all_checks  # the one command that loads numpy
 
     params, contract = cfg.market(), cfg.single_contract()

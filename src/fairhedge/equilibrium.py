@@ -230,12 +230,16 @@ class _RiskKernel:
         its gamma_W, or +inf where its terms raise a PricingError. The first x
         seeds the minimum and only a strictly lower risk replaces it, so a tie
         keeps the earlier x, and an error is kept only when it is the seed's.
+        Where x S0 <= C_x the dead-call loss set is empty, d1 = -inf, and the
+        loop adds no dead-call terms: they are 0.5 erfc(+inf) == +0.0, so the
+        sums keep their bits. That holds on 30% of the points of the quote
+        pools, 27-28% of the smile chains' and 137 of the reference quote's 1,024.
         This returns scores; report(x), the other way in, returns one x's record.
         """
         s0, strike, edge, compounding = self.spot, self.strike, self.edge, self.compounding
         discount, payoff, grown_spot = self.discount, self.expected_payoff, self.grown_spot
         shift, sig_sqrt_t = self.shift, self.sig_sqrt_t
-        erfc, log, sqrt2 = math.erfc, math.log, _SQRT2
+        erfc, log, sqrt2, neg_inf, normal_min = math.erfc, math.log, _SQRT2, -math.inf, _NORMAL_MIN
         best_risk, best_x, best = math.inf, None, None
         for x in xs:
             price = discount * (payoff - 0.5 * x * edge)
@@ -247,10 +251,6 @@ class _RiskKernel:
             cover = x * s0
             stock_cover = cover - price
             grown_cover = stock_cover * compounding
-            if stock_cover <= 0:
-                d1 = -math.inf
-            else:
-                d1 = (log(grown_cover / cover) + shift) / sig_sqrt_t
             # -grown_cover is (price - x S0) e^{rT} to the bit: IEEE subtraction and
             # negation are exact mirror images.
             d2_arg = (strike - grown_cover) / (s0 * (1.0 - x))
@@ -261,21 +261,28 @@ class _RiskKernel:
                 continue
             d2 = (log(d2_arg) + shift) / sig_sqrt_t
             # Survival probabilities are N(-z), not 1 - N(z), to keep relative
-            # precision in the tails; a -inf d1 contributes nothing. N(z) is
-            # 0.5 erfc(-z / sqrt 2), so N(-z) is 0.5 erfc(z / sqrt 2).
+            # precision in the tails. N(z) is 0.5 erfc(-z / sqrt 2), so N(-z) is
+            # 0.5 erfc(z / sqrt 2).
             upper_tail = 0.5 * erfc(d2 / sqrt2)
-            loss_prob = 0.5 * erfc(-d1 / sqrt2) + upper_tail
-            if not loss_prob >= _NORMAL_MIN:
+            upper_tail_shifted = 0.5 * erfc((d2 - sig_sqrt_t) / sqrt2)
+            if stock_cover <= 0:
+                # d1 = -inf: the dead-call terms are 0.5 erfc(+inf) == +0.0, so skip them.
+                d1 = neg_inf
+                loss_prob = upper_tail
+                partial_stock = grown_spot * upper_tail_shifted
+            else:
+                d1 = (log(grown_cover / cover) + shift) / sig_sqrt_t
+                loss_prob = 0.5 * erfc(-d1 / sqrt2) + upper_tail
+                partial_stock = grown_spot * (
+                    0.5 * erfc(-(d1 - sig_sqrt_t) / sqrt2) + upper_tail_shifted
+                )
+            if not loss_prob >= normal_min:
                 if best is None:
                     size = "zero" if loss_prob == 0.0 else f"a subnormal {loss_prob}"
                     best_x = x
                     best = DegenerateLoss(f"writer loss probability underflowed to {size} at x={x}")
                 continue
-            upper_tail_shifted = 0.5 * erfc((d2 - sig_sqrt_t) / sqrt2)
             partial_call = grown_spot * upper_tail_shifted - strike * upper_tail
-            partial_stock = grown_spot * (
-                0.5 * erfc(-(d1 - sig_sqrt_t) / sqrt2) + upper_tail_shifted
-            )
             gamma_w = (
                 partial_call / loss_prob
                 - x * partial_stock / loss_prob

@@ -5,6 +5,7 @@ output files are exercised exactly as a user sees them; a test that counts
 calls inside a command runs it in process.
 """
 
+import ast
 import csv
 import dataclasses
 import json
@@ -676,3 +677,31 @@ class TestNumpyOnlyWhereSampled:
         result = run_cli_main("plain", [["validate", *EX_ARGS, "--strike", "100", "--paths", "20000"]])
         (code, _, stderr), = result["runs"]
         assert (code, result["numpy"]) == (0, True), stderr
+
+
+# Imports the CLI, then runs each argv of ARGVS through cli.main with stdout
+# captured, and prints whether json is in sys.modules before the import, after
+# it, and after each run, next to the run's exit code. It loads no json itself.
+JSON_BOUNDARY_SCRIPT = """
+import ast, contextlib, io, sys
+steps = ["json" in sys.modules]
+import fairhedge.cli
+steps.append("json" in sys.modules)
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = fairhedge.cli.main(argv)
+    steps.append((code, "json" in sys.modules))
+print(repr(steps))
+"""
+
+
+def test_csv_commands_leave_json_unloaded():
+    # Only a config file, JSON output and validate read or write JSON.
+    argvs = TestNumpyOnlyWhereSampled.SCALAR_ARGVS[1:5]
+    result = subprocess.run([sys.executable, "-c", JSON_BOUNDARY_SCRIPT, repr(argvs)],
+                            capture_output=True, text=True, check=True)
+    assert ast.literal_eval(result.stdout) == [False, False, *[(0, False)] * 4]
+    json_run = subprocess.run([sys.executable, "-c", JSON_BOUNDARY_SCRIPT,
+                               repr([argvs[0] + ["--format", "json"]])],
+                              capture_output=True, text=True, check=True)
+    assert ast.literal_eval(json_run.stdout) == [False, False, (0, True)]

@@ -531,6 +531,23 @@ class TestCompassRefinement:
         minimize_writer_risk(ref_params, ref_contract)
         assert len(calls) == 1024
 
+    def test_reference_quote_skips_the_empty_dead_call_loss(
+        self, ref_params, ref_contract, monkeypatch
+    ):
+        # Of the 1,024 points, 137 have x S0 <= C_x, so d1 = -inf and only the two
+        # upper-tail erfc calls run; the other 887 run four. The kernel's
+        # construction makes 4 more calls and the report's holder terms 2.
+        calls = []
+        erfc = math.erfc
+
+        def counted(z):
+            calls.append(z)
+            return erfc(z)
+
+        monkeypatch.setattr(math, "erfc", counted)
+        minimize_writer_risk(ref_params, ref_contract)
+        assert len(calls) == 887 * 4 + 137 * 2 + 4 + 2 == 3828
+
     def test_a_flat_risk_is_quoted_at_zero(self, ref_params, ref_contract, monkeypatch):
         inject(monkeypatch, lambda x, terms: (*terms[:6], 1.0))
         assert minimize_writer_risk(ref_params, ref_contract).x_star == 0.0

@@ -37,9 +37,9 @@ def test_the_failure_table_gives_each_trees_median_request_count():
             "change": [result(1.7, n) for n in (7000, 7300, 7100)]}
     lines = bench_pairs.table({("quote", 1): runs}, {"latency_p50_ms": 0.25})
     assert lines[-3:] == [
-        "|---|---|---|---|---|",
-        "| quote (1) | parent | 0 / 1024 | True | 6200 |",
-        "| quote (1) | change | 0 / 1024 | True | 7100 |",
+        "|---|---|---|---|---|---|---|",
+        "| quote (1) | parent | 0 / 1024 | True | 6200 | n/a | n/a |",
+        "| quote (1) | change | 0 / 1024 | True | 7100 | n/a | n/a |",
     ]
     assert lines[2].startswith("| quote (1, 3) | latency_p50_ms | 2 [")
     assert lines[2].endswith("| 3/3 | yes |")
@@ -57,6 +57,30 @@ def test_each_row_is_marked_against_its_bound(parent, change, mark):
     runs = {"parent": [result(v, 1) for v in parent], "change": [result(v, 1) for v in change]}
     row = load_bench_pairs().table({("quote", 1): runs}, {"latency_p50_ms": 0.25})[2]
     assert row.split(" | ")[4] == mark
+
+
+def test_the_failure_table_fits_peak_rss_on_the_request_count():
+    # The parent's runs lie on 22.9 MB + 752 B per request. The change's runs lie
+    # around the same slope on a base 1 MB higher, with noise that leaves the fit as is.
+    def with_rss(requests, base, per_request, noise=0.0):
+        run = result(1.0, requests)
+        run["metrics"]["peak_rss_mb"] = {"value": base + requests * per_request / 2**20 + noise,
+                                         "unit": "MB"}
+        return run
+
+    runs = {"parent": [with_rss(n, 22.9, 752) for n in (10_000, 12_000, 15_000)],
+            "change": [with_rss(n, 23.9, 752, noise) for n, noise in
+                       ((10_000, 0.1), (11_000, -0.2), (12_000, 0.1))]}
+    lines = load_bench_pairs().table({("quote", 1): runs}, {"latency_p50_ms": 0.25,
+                                                           "peak_rss_mb": 0.1})
+    assert lines[-4].endswith("| rss base (MB) | rss per request (B) |")
+    assert lines[-2].endswith("| 12000 | 22.9 | 752 |")
+    assert lines[-1].endswith("| 11000 | 23.9 | 752 |")
+
+
+def test_the_rss_fit_is_na_where_every_run_served_the_same_count():
+    run = {**result(1.0, 500), "metrics": {"peak_rss_mb": {"value": 30.0, "unit": "MB"}}}
+    assert load_bench_pairs().rss_fit([run, run, run]) == ("n/a", "n/a")
 
 
 def test_the_bounds_are_read_from_the_checkouts_benchmark():

@@ -24,10 +24,13 @@ reports is better lower. The mark is ``ok`` when the change's median is
 at most the parent's times (1 + bound), ``over`` when it is above that,
 and ``unresolved`` when the parent's quartile distance exceeds bound
 times its median, unless every change run read below every parent run. A
-second table gives the failed operations each tree reported and the
+second table gives the failed operations each tree reported, the
 median of its runs' request counts, read from each run's ``details:``
-line: perfbench holds every output until a run ends, so a tree that
-serves more requests reads a higher ``peak_rss_mb``. Progress goes to
+line, and the least-squares fit of its runs' ``peak_rss_mb`` on their
+request counts: a base in MB and bytes per request. perfbench holds
+every output until a run ends, so a tree that serves more requests reads
+a higher ``peak_rss_mb``; a rise in the base is the program's own
+memory, and a rise at the same base is held outputs. Progress goes to
 stderr; ``--raw PATH`` also writes every run's final JSON line
 there, one JSON object per run.
 """
@@ -124,16 +127,32 @@ def table(results: dict, bounds: dict[str, float]) -> list[str]:
                 f"| {workload} ({seed}, {pairs}) | {metric} | {old_median:.4g} [{old_iqr:.2g}] "
                 f"| {new_median:.4g} ({relative:+.1f}%) | {mark} | {lower}/{pairs} | {claim} |"
             )
-    lines += ["", "| workload (seed) | tree | failed / attempted | correct | requests |",
-              "|---|---|---|---|---|"]
+    lines += ["", "| workload (seed) | tree | failed / attempted | correct | requests "
+                  "| rss base (MB) | rss per request (B) |",
+              "|---|---|---|---|---|---|---|"]
     for (workload, seed), runs in results.items():
         for tree in TREES:
             counts = sorted({f"{r['failed']} / {r['attempted']}" for r in runs[tree]})
             correct = all(r["correct"] for r in runs[tree])
             requests = statistics.median(r["requests"] for r in runs[tree])
+            base, per_request = rss_fit(runs[tree])
             lines.append(f"| {workload} ({seed}) | {tree} | {', '.join(counts)} | {correct} "
-                         f"| {requests:.0f} |")
+                         f"| {requests:.0f} | {base} | {per_request} |")
     return lines
+
+
+def rss_fit(runs: list[dict]) -> tuple[str, str]:
+    """The least-squares fit of peak_rss_mb on request count over runs, as the base in
+    MB and the bytes per request, or ``n/a`` twice where no line fits."""
+    if "peak_rss_mb" not in runs[0]["metrics"]:
+        return "n/a", "n/a"
+    requests = [r["requests"] for r in runs]
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    try:
+        slope, intercept = statistics.linear_regression(requests, rss)
+    except statistics.StatisticsError:  # every run served the same count
+        return "n/a", "n/a"
+    return f"{intercept:.1f}", f"{slope * 2**20:.0f}"  # perfbench's MB is ru_maxrss KiB / 1024
 
 
 def main(argv=None) -> int:
